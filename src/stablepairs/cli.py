@@ -16,11 +16,13 @@ Subcommands:
 
 Exit codes: 0 success, 1 mathematical mismatch (counterexample, failed
 identity, golden-file disagreement), 2 usage or malformed input, 3 internal
-error (a trivial weight reached an Euler class).
+error (any unexpected exception, e.g. a trivial weight reaching an Euler
+class), reported as one ``internal error:`` line on stderr.
 
 Output is deterministic: byte-identical across worker counts unless
 ``--timings`` is passed.  The default worker count comes from the
-``STABLEPAIRS_JOBS`` environment variable.
+``STABLEPAIRS_JOBS`` environment variable; like ``--jobs`` it must be a
+positive integer.
 """
 
 import argparse
@@ -30,7 +32,7 @@ import os
 import sys
 from pathlib import Path
 
-from .equivariant import SplitGeometry, TrivialWeightError
+from .equivariant import SplitGeometry
 from .localcurve import (
     GEOM_STANDARD,
     js_invariant_closed_form,
@@ -53,6 +55,8 @@ from .series import (
     pt_coeff_from_gv,
     pt_series_from_gv,
     wall_jump_check,
+    _parse_class_table,
+    _parse_meeting,
 )
 
 EXIT_OK = 0
@@ -73,23 +77,21 @@ def _fail_mismatch(message):
     return EXIT_MISMATCH
 
 
-def _default_jobs():
-    raw = os.environ.get("STABLEPAIRS_JOBS", "1")
+def _jobs(text):
+    """argparse type of --jobs, also applied to the STABLEPAIRS_JOBS default."""
     try:
-        return int(raw)
+        jobs = int(text)
     except ValueError:
-        return 1
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer (from --jobs or STABLEPAIRS_JOBS), got {text!r}"
+        )
+    return jobs
 
 
 def _dump_json(payload):
     print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _parse_beta_key(key):
-    beta = json.loads(key)
-    if not isinstance(beta, list) or not all(isinstance(b, int) for b in beta):
-        raise ValueError(f"bad curve-class key {key!r}")
-    return tuple(beta)
 
 
 # -- js ------------------------------------------------------------------------------
@@ -135,8 +137,6 @@ def cmd_js(args):
         return _fail_usage(
             f"geometry degrees must sum to -2 (Calabi-Yau condition), got {degrees}"
         )
-    if args.jobs < 1:
-        return _fail_usage("--jobs must be at least 1")
     geom = SplitGeometry(*degrees)
     if args.method == "closed" and geom.degrees != GEOM_STANDARD.degrees:
         return _fail_usage(
@@ -153,9 +153,6 @@ def cmd_js(args):
             )
     except ValueError as exc:
         return _fail_usage(str(exc))
-    except TrivialWeightError as exc:
-        print(f"internal: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
     if args.format == "json":
         _dump_json(_js_report(result, args.timings, args.audit))
@@ -188,8 +185,6 @@ def _load_checkpoint(path):
 def cmd_verify(args):
     if args.d_max < 1 or args.ratio_max < 1:
         return _fail_usage("--d-max and --ratio-max must be at least 1")
-    if args.jobs < 1:
-        return _fail_usage("--jobs must be at least 1")
     rows_done = {}
     on_row = None
     handle = None
@@ -343,13 +338,8 @@ def _load_gw_data(path, deg_max):
     tables = {}
     for name in ("gw0", "gw1", "n0_c2"):
         raw = data.get(name) or {}
-        tables[name] = {_parse_beta_key(k): parse_frac(v) for k, v in raw.items()}
-    meeting = {}
-    for key, v in (data.get("meeting") or {}).items():
-        left, _, right = key.partition("|")
-        if not right:
-            raise ValueError(f"bad meeting key {key!r}")
-        meeting[(_parse_beta_key(left), _parse_beta_key(right))] = parse_frac(v)
+        tables[name] = _parse_class_table(name, raw, rank)
+    meeting = _parse_meeting(data.get("meeting") or {}, rank)
     if deg_max is None:
         degs = [
             sum(w * b for w, b in zip(omega, beta))
@@ -409,6 +399,8 @@ def _build_parser():
         "wall-crossing series checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # a string default goes through _jobs only when the subcommand runs
+    jobs_default = os.environ.get("STABLEPAIRS_JOBS", "1")
 
     js = sub.add_parser("js", help="compute one invariant P(n, d)")
     js.add_argument("--n", type=int, required=True, help="Euler characteristic")
@@ -421,7 +413,7 @@ def _build_parser():
         help="fixed-point enumeration (default) or the closed product formula",
     )
     js.add_argument("--format", choices=("text", "json"), default="text")
-    js.add_argument("--jobs", type=int, default=_default_jobs())
+    js.add_argument("--jobs", type=_jobs, default=jobs_default)
     js.add_argument(
         "--golden", metavar="PATH",
         help="compare against (or create) a golden value file",
@@ -441,7 +433,7 @@ def _build_parser():
     )
     verify.add_argument("--d-max", type=int, required=True)
     verify.add_argument("--ratio-max", type=int, required=True)
-    verify.add_argument("--jobs", type=int, default=_default_jobs())
+    verify.add_argument("--jobs", type=_jobs, default=jobs_default)
     verify.add_argument(
         "--checkpoint", metavar="PATH",
         help="JSON-lines file of finished rows; appended to, read to resume",
@@ -501,7 +493,12 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # the exit-code contract: never a traceback
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

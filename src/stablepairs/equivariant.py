@@ -94,6 +94,14 @@ class KClass:
     # -- constructors -----------------------------------------------------
 
     @classmethod
+    def _trusted(cls, terms):
+        """Internal: wrap a map of 4-tuple int weights to nonzero ints as is."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        out._hash = None
+        return out
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -138,16 +146,10 @@ class KClass:
                 terms[w] = s
             else:
                 terms.pop(w, None)
-        out = KClass.__new__(KClass)
-        out.terms = terms
-        out._hash = None
-        return out
+        return KClass._trusted(terms)
 
     def __neg__(self):
-        out = KClass.__new__(KClass)
-        out.terms = {w: -m for w, m in self.terms.items()}
-        out._hash = None
-        return out
+        return KClass._trusted({w: -m for w, m in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -165,10 +167,7 @@ class KClass:
                     terms[w] = s
                 else:
                     terms.pop(w, None)
-        out = KClass.__new__(KClass)
-        out.terms = terms
-        out._hash = None
-        return out
+        return KClass._trusted(terms)
 
     __rmul__ = __mul__
 
@@ -176,27 +175,18 @@ class KClass:
         m = int(m)
         if m == 0:
             return KClass()
-        out = KClass.__new__(KClass)
-        out.terms = {w: c * m for w, c in self.terms.items()}
-        out._hash = None
-        return out
+        return KClass._trusted({w: c * m for w, c in self.terms.items()})
 
     def twist(self, weight):
         """Tensor with the single character t^weight."""
         weight = _check_weight(weight)
         if weight == ZERO_WEIGHT:
             return self
-        out = KClass.__new__(KClass)
-        out.terms = {_add_weights(w, weight): m for w, m in self.terms.items()}
-        out._hash = None
-        return out
+        return KClass._trusted({_add_weights(w, weight): m for w, m in self.terms.items()})
 
     def conj(self):
         """Dual class: every weight negated (a ring involution)."""
-        out = KClass.__new__(KClass)
-        out.terms = {_neg_weight(w): m for w, m in self.terms.items()}
-        out._hash = None
-        return out
+        return KClass._trusted({_neg_weight(w): m for w, m in self.terms.items()})
 
     def cy_normalized(self):
         """Rewrite via t0*t1*t2*t3 = 1 so that no t1 exponent remains.
@@ -214,10 +204,7 @@ class KClass:
                 terms[v] = s
             else:
                 terms.pop(v, None)
-        out = KClass.__new__(KClass)
-        out.terms = terms
-        out._hash = None
-        return out
+        return KClass._trusted(terms)
 
 
 # -- geometry ---------------------------------------------------------------------
@@ -353,10 +340,7 @@ def euler_factored(kclass):
         raise TrivialWeightError(
             f"trivial character with net multiplicity {trivial} has no Euler factor"
         )
-    result = FactoredRatFun.one()
-    for w in sorted(kclass.terms):
-        result = result.times_form(w, kclass.terms[w])
-    return result
+    return FactoredRatFun.product(1, kclass.terms.items())
 
 
 def euler_class(kclass, lambda_basis=None, arity=4):

@@ -22,6 +22,7 @@ identity behind the n = 2d case are the main verification targets.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -194,35 +195,28 @@ def half_obstruction_general(comp):
            + sum_i (1 - t3^{d_i}).
 
     The trivial character cancels between the first and last sums, so the
-    Euler class of the result is always defined.
+    Euler class of the result is always defined.  A pair with d_i = 0 or
+    d_j = 0 adds nothing (its four characters cancel), so only nonzero parts
+    are visited.
     """
-    parts = comp.parts
     k = comp.k
-    total = KClass()
-    for i, part in enumerate(parts):
-        if part == 0:
-            continue
-        block = {}
+    nonzero = [(i, part) for i, part in enumerate(comp.parts) if part]
+    terms = {}
+    for i, part in nonzero:
         for j in range(-(k - i), i + 1):
             for j2 in range(part):
                 w = (j, 0, 0, -j2)
-                block[w] = block.get(w, 0) - 1
-        total = total + KClass(block)
-    for i in range(k + 1):
-        for j in range(i + 1, k + 1):
-            di, dj = parts[i], parts[j]
-            # accumulate term by term: the four characters can coincide
-            # (e.g. when d_j = 0 or d_i = d_j) and must then cancel
-            cross = KClass.character((j - i, 0, 0, 0))
-            cross = cross - KClass.character((j - i, 0, 0, di))
-            cross = cross - KClass.character((j - i, 0, 0, -dj))
-            cross = cross + KClass.character((j - i, 0, 0, di - dj))
-            total = total + cross
-    for part in parts:
-        if part:
-            total = total + KClass.character((0, 0, 0, 0))
-            total = total - KClass.character((0, 0, 0, part))
-    return total
+                terms[w] = terms.get(w, 0) - 1
+    for a, (i, di) in enumerate(nonzero):
+        for j, dj in nonzero[a + 1:]:
+            # the characters coincide when d_i = d_j and must then cancel
+            for w, m in (((j - i, 0, 0, 0), 1), ((j - i, 0, 0, di), -1),
+                         ((j - i, 0, 0, -dj), -1), ((j - i, 0, 0, di - dj), 1)):
+                terms[w] = terms.get(w, 0) + m
+    for _, part in nonzero:
+        for w, m in (((0, 0, 0, 0), 1), ((0, 0, 0, part), -1)):
+            terms[w] = terms.get(w, 0) + m
+    return KClass._trusted({w: m for w, m in terms.items() if m})
 
 
 def full_obstruction_general(comp, geom=GEOM_STANDARD):
@@ -294,9 +288,15 @@ class InvariantResult:
         return report
 
 
+def _worker_count(jobs, items):
+    """Pool size: no more workers than requested, than CPUs, or than items."""
+    return max(1, min(jobs, os.cpu_count() or 1, items))
+
+
 def _map_contributions(worker, items, jobs):
-    if jobs > 1 and len(items) > 1:
-        with Pool(processes=jobs) as pool:
+    workers = _worker_count(jobs, len(items))
+    if workers > 1:
+        with Pool(processes=workers) as pool:
             return pool.map(worker, items)
     return [worker(item) for item in items]
 
@@ -337,24 +337,24 @@ def js_invariant_enumerated(n, d, geom=GEOM_STANDARD, jobs=1, audit=False):
 
 
 def _closed_form_term(comp):
-    """One composition's summand of the closed product formula."""
+    """One composition's summand of the closed product formula, prefactor
+    included."""
     parts = comp.parts
     k = comp.k
-    term = FactoredRatFun(Fraction(1))
-    scalar = Fraction(1)
+    scalar = 1
+    for i in range(1, k + 1):
+        scalar *= math.factorial(i)
     for part in parts:
-        scalar /= math.factorial(part)
-    term = term.times_scalar(scalar)
+        scalar *= math.factorial(part)
+    factors = [((1, 0, 0, 0), -(k * (k + 1)) // 2), ((0, 0, 0, 1), -comp.d)]
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
-            term = term.times_form((j - i, 0, 0, parts[i] - parts[j]), 1)
+            factors.append(((j - i, 0, 0, parts[i] - parts[j]), 1))
     for i, part in enumerate(parts):
         for a in range(1, part + 1):
-            for b in range(1, k - i + 1):
-                term = term.times_form((b, 0, 0, a), -1)
-            for b in range(1, i + 1):
-                term = term.times_form((-b, 0, 0, a), -1)
-    return term
+            factors.extend(((b, 0, 0, a), -1) for b in range(1, k - i + 1))
+            factors.extend(((-b, 0, 0, a), -1) for b in range(1, i + 1))
+    return FactoredRatFun.product(Fraction(1, scalar), factors)
 
 
 def js_invariant_closed_form(n, d, jobs=1, audit=False):
@@ -372,19 +372,8 @@ def js_invariant_closed_form(n, d, jobs=1, audit=False):
         raise ValueError(f"curve degree must be positive, got {d}")
     if n < d or n % d != 0:
         raise ValueError(f"closed formula needs d | n and n >= d, got n={n}, d={d}")
-    k = n // d - 1
-    prefactor = Fraction(1)
-    for i in range(1, k + 1):
-        prefactor /= math.factorial(i)
     comps = enumerate_fixed_points(n, d)
-    raw = _map_contributions(_closed_form_term, comps, jobs)
-    terms = []
-    for t in raw:
-        t = t.times_scalar(prefactor)
-        if k:
-            t = t.times_form((1, 0, 0, 0), -(k * (k + 1)) // 2)
-        t = t.times_form((0, 0, 0, 1), -d)
-        terms.append(t)
+    terms = _map_contributions(_closed_form_term, comps, jobs)
     value = sum_factored(terms, 4)
     contributions = None
     if audit:

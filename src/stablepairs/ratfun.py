@@ -16,15 +16,21 @@ Canonical forms
 
 A factored fast path (:class:`FactoredRatFun`, :func:`sum_factored`) handles
 the hot loops, where every factor is a linear form: products are kept as
-multisets of primitive linear forms plus a rational scalar, and sums are
-combined over a common denominator with trial division instead of generic
-polynomial gcd.
+multisets of primitive linear forms plus a rational scalar.  A sum lifts
+every term to the common denominator and expands the numerators by Kronecker
+substitution: a homogeneous polynomial of degree N drops its last variable
+(implied by N) and maps l_i to X**stride_i with X = 2**bits, so it becomes a
+single Python int and a product of linear forms is a few big-int
+multiplications.  The radix comes from a rigorous coefficient bound, the sum
+of |scalar| * prod(||form||_1 ** lift), so the balanced base-X digits of the
+packed sum are exactly its coefficients.  The result is then reduced by trial
+division against each denominator form instead of generic polynomial gcd.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm as _int_lcm
+from math import gcd as _int_gcd, lcm as _int_lcm, prod
 
 __all__ = [
     "Poly",
@@ -830,37 +836,13 @@ def residue_at(f, pole, var=0):
 # -- factored fast path ----------------------------------------------------------
 
 
-def _normalize_form(coefficients):
-    """Normalize a linear form to primitive integers with positive first entry.
-
-    Returns (unit, form) with  sum(coefficients[i] * l_i) == unit * form·l,
-    where form is an integer tuple with content one and positive first nonzero
-    entry.  The zero form is rejected.
-    """
-    fracs = [Fraction(c) for c in coefficients]
-    if all(c == 0 for c in fracs):
-        raise ValueError("zero linear form has no normalization")
-    den_lcm = 1
-    for c in fracs:
-        den_lcm = _int_lcm(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in fracs]
-    g = 0
-    for v in ints:
-        g = _int_gcd(g, abs(v))
-    lead = next(v for v in ints if v != 0)
-    sign = 1 if lead > 0 else -1
-    form = tuple(v // (g * sign) for v in ints)
-    unit = Fraction(g * sign, den_lcm)
-    return unit, form
-
-
 class FactoredRatFun:
     """A rational function kept as scalar * prod(linear_form ** exponent).
 
-    Forms are primitive integer tuples (see _normalize_form); exponents are
-    nonzero integers, negative for denominator factors.  This is the value
-    representation for individual fixed-point contributions, where every
-    factor of the equivariant Euler class is a linear form.
+    Forms are primitive integer tuples with positive first nonzero entry;
+    exponents are nonzero integers, negative for denominator factors.  This
+    is the value representation for individual fixed-point contributions,
+    where every factor of the equivariant Euler class is a linear form.
     """
 
     __slots__ = ("scalar", "forms")
@@ -873,21 +855,41 @@ class FactoredRatFun:
     def one(cls):
         return cls()
 
+    @classmethod
+    def product(cls, scalar, factors):
+        """scalar * prod(form ** exponent) over (integer form, exponent)
+        pairs, normalized in one pass with integer gcds."""
+        forms = {}
+        num = den = 1
+        for coefficients, exponent in factors:
+            unit = _int_gcd(*coefficients)
+            if not unit:
+                raise ValueError("zero linear form has no normalization")
+            if next(filter(None, coefficients)) < 0:
+                unit = -unit
+            if unit == 1:
+                form = tuple(coefficients)
+            else:
+                form = tuple(map(unit.__rfloordiv__, coefficients))
+                if exponent > 0:
+                    num *= unit**exponent
+                else:
+                    den *= unit ** (-exponent)
+            e = forms.get(form, 0) + exponent
+            if e:
+                forms[form] = e
+            else:
+                forms.pop(form, None)
+        return cls(Fraction(scalar) * Fraction(num, den), forms)
+
     def times_scalar(self, value):
         return FactoredRatFun(self.scalar * value, self.forms)
 
     def times_form(self, coefficients, exponent=1):
-        """Multiply by (linear form)**exponent, normalizing the form."""
-        if exponent == 0:
-            return self
-        unit, form = _normalize_form(coefficients)
-        forms = dict(self.forms)
-        e = forms.get(form, 0) + exponent
-        if e == 0:
-            forms.pop(form, None)
-        else:
-            forms[form] = e
-        return FactoredRatFun(self.scalar * unit**exponent, forms)
+        """Multiply by (integer linear form)**exponent, normalizing the form."""
+        return FactoredRatFun.product(
+            self.scalar, [*self.forms.items(), (tuple(coefficients), exponent)]
+        )
 
     def is_zero(self):
         return self.scalar == 0
@@ -895,50 +897,105 @@ class FactoredRatFun:
     def to_ratfun(self, arity):
         if self.scalar == 0:
             return RatFun.zero(arity)
-        num = {(0,) * arity: 1}
-        den = {(0,) * arity: 1}
-        for form, e in sorted(self.forms.items()):
-            target = num if e > 0 else den
-            expanded = _expand_form_power(target, form, abs(e), arity)
-            if e > 0:
-                num = expanded
-            else:
-                den = expanded
+        num = _kronecker_sum([(1, {f: e for f, e in self.forms.items() if e > 0})], {}, arity)
+        den = _kronecker_sum([(1, {f: -e for f, e in self.forms.items() if e < 0})], {}, arity)
         num_poly = Poly(arity, {m: self.scalar * c for m, c in num.items()})
-        den_poly = Poly(arity, {m: Fraction(c) for m, c in den.items()})
-        return RatFun._trusted(num_poly, den_poly)
+        return RatFun._trusted(num_poly, Poly(arity, den))
 
     def __repr__(self):
         return f"FactoredRatFun({self.scalar}, {self.forms})"
 
 
-def _expand_form_power(acc, form, power, arity):
-    """Multiply an integer-coefficient monomial dict by (form)**power."""
-    unit_monos = []
-    for i, c in enumerate(form):
-        if c:
-            mono = tuple(1 if j == i else 0 for j in range(arity))
-            unit_monos.append((mono, c))
-    for _ in range(power):
-        nxt = {}
-        for m1, c1 in acc.items():
-            for m2, c2 in unit_monos:
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                s = nxt.get(mono, 0) + c1 * c2
-                if s:
-                    nxt[mono] = s
-                elif mono in nxt:
-                    del nxt[mono]
-        acc = nxt
-    return acc
+def _lifts(exponents, need):
+    """{form: exponent + need[form]} without zeros, built afresh on each use
+    so that no dict per term stays alive."""
+    lifts = {form: n for form, n in need.items() if n}
+    for form, e in exponents.items():
+        lift = lifts.get(form, 0) + e
+        if lift:
+            lifts[form] = lift
+        else:
+            del lifts[form]
+    return lifts
+
+
+def _kronecker_sum(products, need, arity):
+    """Expand sum(scalar * prod(form ** lift)) into {monomial: int}, where
+    lift = exponent + need[form] >= 0 (see _lifts) and scalars are integers.
+
+    Every lifted product is homogeneous of one total degree N.  The last
+    variable the forms use is then implied by the others and set to 1; the
+    rest map to powers X**stride with X = 2**bits, strides from per-variable
+    exponent bounds, so every product packs into one Python int and the sum
+    is one int add per product.  The l1 norm is submultiplicative, so no
+    coefficient of the sum exceeds B = sum(|scalar| * prod(||form||_1 **
+    lift)) < 2**(bits - 1), and the balanced base-X digits of the packed sum
+    are exactly its coefficients.
+    """
+    degree = sum(need.values()) + sum(products[0][1].values())
+    forms = set(need)
+    for _, exponents in products:
+        forms.update(exponents)
+    *packed, last = sorted({i for f in forms for i, c in enumerate(f) if c}) or [0]
+    # the last packed variable needs no bound: nothing is packed above it
+    bounds = [max(sum(lift for f, lift in _lifts(exponents, need).items() if f[i])
+                  for _, exponents in products) for i in packed[:-1]]
+    strides = [1]
+    for b in bounds:
+        strides.append(strides[-1] * (b + 1))
+    norms = {f: sum(map(abs, f)) for f in forms}
+    bound = sum(
+        abs(scalar) * prod(norms[f] ** lift for f, lift in _lifts(exponents, need).items())
+        for scalar, exponents in products
+    )
+    bits = bound.bit_length() + 1
+    packed_forms = {
+        f: sum(f[i] << (bits * s) for i, s in zip(packed, strides)) + f[last]
+        for f in forms
+    }
+    powers = {}
+    total = 0
+    for scalar, exponents in products:
+        value = scalar
+        for key in _lifts(exponents, need).items():
+            power = powers.get(key)
+            if power is None:
+                power = powers[key] = packed_forms[key[0]] ** key[1]
+            value *= power
+        total += value
+    coeffs = {}
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    position = 0
+    while total:
+        digit = total & mask
+        if digit >= half:
+            digit -= mask + 1
+        if digit:
+            mono = [0] * arity
+            rest = position
+            for i, b in zip(packed, bounds):
+                rest, mono[i] = divmod(rest, b + 1)
+            if packed:
+                mono[packed[-1]] = rest
+            mono[last] = degree - sum(mono)
+            coeffs[tuple(mono)] = digit
+        total = (total - digit) >> bits
+        position += 1
+    return coeffs
 
 
 def sum_factored(terms, arity):
     """Sum FactoredRatFun terms over a common denominator, fully reduced.
 
-    Because all denominator factors are irreducible linear forms, reducing by
-    trial division against each form is a complete reduction; no generic gcd
-    runs in this path.
+    Over the common denominator a term's numerator is scalar * prod(form **
+    lift).  The terms of one total degree share one packed expansion (see
+    _kronecker_sum): their scalars are cleared to integers by the lcm L of
+    their denominators, each lifted numerator becomes one big integer in
+    radix 2**bits, bits is chosen from the rigorous coefficient bound
+    sum(|L * scalar| * prod(||form||_1 ** lift)), and the balanced digits of
+    the packed sum, over L, are the coefficients.  All denominator factors
+    are irreducible linear forms, so trial division against each form is a
+    complete reduction; no generic gcd runs in this path.
     """
     terms = [t for t in terms if not t.is_zero()]
     if not terms:
@@ -948,31 +1005,23 @@ def sum_factored(terms, arity):
         for form, e in t.forms.items():
             if e < 0:
                 need[form] = max(need.get(form, 0), -e)
-    den_order = sorted(need)
-    total = {}
+    groups = {}
     for t in terms:
-        numer = {(0,) * arity: 1}
-        for form, e in sorted(t.forms.items()):
-            lift = e + need.get(form, 0)
-            if lift < 0:
-                raise AssertionError("common denominator failed to clear a pole")
-            if lift:
-                numer = _expand_form_power(numer, form, lift, arity)
-        for form in den_order:
-            if form not in t.forms and need[form]:
-                numer = _expand_form_power(numer, form, need[form], arity)
-        # fold the scalar in while accumulating as Fractions
-        for mono, c in numer.items():
-            s = total.get(mono, _ZERO) + t.scalar * c
-            if s == 0:
-                total.pop(mono, None)
-            else:
-                total[mono] = s
+        groups.setdefault(sum(t.forms.values()), []).append(t)
+    total = {}
+    for group in groups.values():
+        scale = _int_lcm(*(t.scalar.denominator for t in group))
+        products = [
+            (t.scalar.numerator * (scale // t.scalar.denominator), t.forms)
+            for t in group
+        ]
+        for mono, c in _kronecker_sum(products, need, arity).items():
+            total[mono] = Fraction(c, scale)
     if not total:
         return RatFun.zero(arity)
     num_poly = Poly(arity, total)
     remaining = dict(need)
-    for form in den_order:
+    for form in sorted(need):
         form_poly = Poly.linear_form(form, arity)
         while remaining[form] > 0:
             q = num_poly.try_divide(form_poly)
@@ -980,12 +1029,8 @@ def sum_factored(terms, arity):
                 break
             num_poly = q
             remaining[form] -= 1
-    den = {(0,) * arity: 1}
-    for form in den_order:
-        if remaining[form]:
-            den = _expand_form_power(den, form, remaining[form], arity)
-    den_poly = Poly(arity, {m: Fraction(c) for m, c in den.items()})
-    return RatFun._trusted(num_poly, den_poly)
+    den = _kronecker_sum([(1, {})], remaining, arity)
+    return RatFun._trusted(num_poly, Poly(arity, den))
 
 
 # -- text format -------------------------------------------------------------------

@@ -70,11 +70,47 @@ def _beta_key(beta):
     return json.dumps(list(beta), separators=(",", ":"))
 
 
-def _parse_beta(key):
+def _parse_beta(key, rank):
+    """A class key: a JSON list of ``rank`` nonnegative integers."""
     values = json.loads(key)
-    if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
-        raise ValueError(f"bad class key {key!r}")
+    if (
+        not isinstance(values, list)
+        or len(values) != rank
+        or not all(type(v) is int and v >= 0 for v in values)
+    ):
+        raise ValueError(
+            f"bad class key {key!r}: expected a list of {rank} nonnegative integers"
+        )
     return tuple(values)
+
+
+def _parse_class_table(name, raw, rank):
+    """{class: Fraction} from the JSON table ``name``.  Only p0 may hold the
+    zero class; nmin values must be integers."""
+    table = {}
+    for key, text in raw.items():
+        beta = _parse_beta(key, rank)
+        value = parse_frac(text)
+        if not any(beta) and name != "p0":
+            raise ValueError(f"{name} key {key!r} is the zero class")
+        if name == "nmin" and value.denominator != 1:
+            raise ValueError(f"nmin value {text!r} for class key {key!r} is not an integer")
+        table[beta] = value
+    return table
+
+
+def _parse_meeting(raw, rank):
+    """{(class, class): Fraction} from the JSON table of "left|right" keys."""
+    meeting = {}
+    for key, text in raw.items():
+        left, _, right = key.partition("|")
+        if not right:
+            raise ValueError(f"bad meeting key {key!r}")
+        pair = (_parse_beta(left, rank), _parse_beta(right, rank))
+        if not all(map(any, pair)):
+            raise ValueError(f"meeting key {key!r} holds the zero class")
+        meeting[pair] = parse_frac(text)
+    return meeting
 
 
 @dataclass(frozen=True)
@@ -243,15 +279,10 @@ class GVTable:
             if raw is None:
                 tables[name] = None
                 continue
-            tables[name] = {_parse_beta(k): parse_frac(v) for k, v in raw.items()}
+            tables[name] = _parse_class_table(name, raw, rank)
         meeting = None
         if data.get("meeting") is not None:
-            meeting = {}
-            for key, v in data["meeting"].items():
-                left, _, right = key.partition("|")
-                if not right:
-                    raise ValueError(f"bad meeting key {key!r}")
-                meeting[(_parse_beta(left), _parse_beta(right))] = parse_frac(v)
+            meeting = _parse_meeting(data["meeting"], rank)
         if dmax is None:
             degs = [
                 sum(w * b for w, b in zip(omega, beta))

@@ -9,11 +9,14 @@ golden file or a failed identity, 2 usage/input error, 3 internal error.
 import io
 import json
 from contextlib import redirect_stdout, redirect_stderr
+from pathlib import Path
 
 import pytest
 
 from stablepairs.cli import main
 from stablepairs.equivariant import TrivialWeightError
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run(argv):
@@ -128,6 +131,28 @@ def test_internal_errors_exit_3(monkeypatch):
     assert "internal" in err
 
 
+def test_unexpected_exceptions_exit_3_with_one_line(monkeypatch, tmp_path):
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic\nfailure")
+
+    monkeypatch.setattr("stablepairs.cli.pt_series_from_gv", boom)
+    p2 = write_local_p2(tmp_path / "p2.json")
+    code, out, err = run(["series", "pt", "--gv-file", str(p2),
+                          "--n-max", "1", "--t", "inf"])
+    assert (code, out) == (3, "")
+    assert err == "internal error: RuntimeError: synthetic failure\n"
+
+
+def test_js_pinned_json_text():
+    """Canonical JSON reports, audit trail included, as the commit before the
+    packed sum printed them."""
+    with open(FIXTURES / "pinned_js.json", encoding="utf-8") as handle:
+        pinned = json.load(handle)
+    assert len(pinned) == 5
+    for case in pinned:
+        assert run(case["argv"])[:2] == (0, case["stdout"]), case["argv"]
+
+
 # -- argparse plumbing ---------------------------------------------------------------
 
 
@@ -149,9 +174,17 @@ def test_jobs_default_comes_from_environment(monkeypatch):
     monkeypatch.setenv("STABLEPAIRS_JOBS", "4")
     code, out, _ = run(["js", "--n", "2", "--d", "1"])
     assert (code, out) == (0, "0\n")
-    monkeypatch.setenv("STABLEPAIRS_JOBS", "not a number")
-    code, out, _ = run(["js", "--n", "1", "--d", "1"])
-    assert (code, out) == (0, "(1)/(l3)\n")
+    # a bad value is a usage error for the commands that read it, not 1 worker
+    for bad in ("not a number", "abc", "0", "-3", "1.5"):
+        monkeypatch.setenv("STABLEPAIRS_JOBS", bad)
+        for argv in (["js", "--n", "1", "--d", "1"],
+                     ["verify", "--d-max", "1", "--ratio-max", "1"]):
+            code, out, err = run(argv)
+            assert (code, out) == (2, ""), (bad, argv)
+            assert "STABLEPAIRS_JOBS" in err and repr(bad) in err
+    # an explicit --jobs wins, and other commands ignore the variable
+    assert run(["js", "--n", "1", "--d", "1", "--jobs", "1"])[:2] == (0, "(1)/(l3)\n")
+    assert run(["residues", "--d", "1"])[0] == 0
 
 
 # -- golden files --------------------------------------------------------------------
@@ -382,6 +415,32 @@ def test_series_malformed_gv_file_exits_2(tmp_path, argv_tail):
     bad.write_text("{not json")
     argv = ["series", argv_tail[0], "--gv-file", str(bad)] + argv_tail[1:]
     assert run(argv)[0] == 2
+
+
+@pytest.mark.parametrize("table, named", [
+    ({"n0": {"[0]": "1"}}, "'[0]'"),
+    ({"n0": {"[1, 2]": "1"}}, "'[1, 2]'"),
+    ({"n0": {"[-1]": "1"}}, "'[-1]'"),
+    ({"n0": {"[1]": "1"}, "nmin": {"[1]": "1/2"}}, "'[1]'"),
+])
+def test_series_rejects_bad_class_tables(tmp_path, table, named):
+    f = tmp_path / "table.json"
+    f.write_text(json.dumps({"rank": 1, "omega": [1], **table}))
+    for argv_tail in (["pt", "--n-max", "1", "--t", "inf"],
+                      ["wallcheck", "--t0", "1", "--n-max", "1"]):
+        code, out, err = run(["series", argv_tail[0], "--gv-file", str(f)]
+                             + argv_tail[1:])
+        assert (code, out) == (2, ""), (table, argv_tail)
+        assert named in err
+
+
+def test_series_gvinvert_rejects_bad_class_keys(tmp_path):
+    for table in ({"gw0": {"[0]": "1"}}, {"gw0": {"[1, 1]": "1"}},
+                  {"gw1": {"[-2]": "1"}}, {"meeting": {"[1]|[0]": "1"}}):
+        f = tmp_path / "gw.json"
+        f.write_text(json.dumps({"rank": 1, "omega": [1], **table}))
+        code, _, err = run(["series", "gvinvert", "--gv-file", str(f)])
+        assert code == 2 and "key" in err, table
 
 
 def test_series_missing_gv_file_exits_2(tmp_path):

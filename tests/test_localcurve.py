@@ -33,6 +33,7 @@ from stablepairs.localcurve import (
     residue_vanishing_check,
     verify_conjecture,
     _residue_summand,
+    _worker_count,
 )
 from stablepairs.ratfun import Poly, RatFun, ratfun_str, residue_at
 
@@ -263,6 +264,16 @@ def test_jobs_give_identical_results():
         )
 
 
+def test_worker_count_is_capped(monkeypatch):
+    monkeypatch.setattr("stablepairs.localcurve.os.cpu_count", lambda: 2)
+    assert _worker_count(8, 100) == 2
+    assert _worker_count(8, 1) == 1
+    assert _worker_count(1, 100) == 1
+    assert _worker_count(4, 0) == 1
+    monkeypatch.setattr("stablepairs.localcurve.os.cpu_count", lambda: None)
+    assert _worker_count(8, 100) == 1
+
+
 def test_report_shape():
     report = js_invariant_enumerated(2, 2).to_report()
     assert report == {
@@ -310,6 +321,29 @@ def test_invariants_are_homogeneous():
     for degs in [(1, -1, -2), (3, -2, -3)]:
         value = js_invariant_enumerated(1, 1, SplitGeometry(*degs)).value
         assert is_homogeneous_of_degree(value, -1), degs
+
+
+def homogeneous_degree(f):
+    """deg(num) - deg(den) when both are homogeneous, else None.  A quotient
+    of homogeneous polynomials is homogeneous of that degree."""
+    num_degrees = {sum(m) for m in f.num.coeffs}
+    den_degrees = {sum(m) for m in f.den.coeffs}
+    if len(num_degrees) != 1 or len(den_degrees) != 1:
+        return None
+    return num_degrees.pop() - den_degrees.pop()
+
+
+def test_every_fixed_point_contribution_is_homogeneous():
+    # most values in this range are zero; their summands carry the check
+    for d in range(1, 5):
+        for ratio in range(1, 6):
+            n = ratio * d
+            for method in (js_invariant_enumerated, js_invariant_closed_form):
+                result = method(n, d, audit=True)
+                assert len(result.contributions) == result.fixed_point_count
+                for label, value in result.contributions:
+                    assert not value.is_zero(), (n, d, label)
+                    assert homogeneous_degree(value) == -n, (n, d, label)
 
 
 def test_homogeneity_detects_failures():

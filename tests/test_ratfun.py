@@ -319,6 +319,91 @@ def test_sum_factored_cancellation_to_zero():
     assert sum_factored([plus, minus], ARITY).is_zero()
 
 
+def naive_ratfun(term, arity):
+    """A factored term expanded by generic Poly products and gcd reduction,
+    independent of the packed expansion."""
+    num = Poly.constant(term.scalar, arity)
+    den = Poly.one(arity)
+    for form, e in term.forms.items():
+        if e > 0:
+            num = num * Poly.linear_form(form, arity) ** e
+        else:
+            den = den * Poly.linear_form(form, arity) ** (-e)
+    return RatFun(num, den)
+
+
+def random_form(rng, arity):
+    """A nonzero integer linear form with up to four entries as large as 10**6."""
+    coefficients = [0] * arity
+    for i in rng.sample(range(arity), rng.randint(1, min(4, arity))):
+        coefficients[i] = rng.choice([1, -1]) * rng.choice(
+            [1, 2, 7, rng.randint(1, 10**6)]
+        )
+    return tuple(coefficients)
+
+
+def random_scalar(rng):
+    magnitude = rng.choice([1, 3, 2**64, 2**64 - 1, rng.randint(1, 10**6)])
+    return Fraction(rng.choice([1, -1]) * magnitude, rng.choice([1, 6, 10**6]))
+
+
+def test_sum_factored_matches_naive_sum_randomized():
+    """Arity 1-5, large form coefficients, exponents +-1..4, mixed degrees,
+    terms without forms, and terms that cancel exactly."""
+    rng = random.Random(2024)
+    for case in range(40):
+        arity = 1 + case % 5
+        pool = [random_form(rng, arity) for _ in range(3)]
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            factors = [
+                (rng.choice(pool), rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]))
+                for _ in range(rng.randint(0, 2))
+            ]
+            terms.append(FactoredRatFun.product(random_scalar(rng), factors))
+        if case % 4 == 0:
+            terms.append(terms[0].times_scalar(-1))
+        expected = RatFun.zero(arity)
+        for t in terms:
+            expanded = naive_ratfun(t, arity)
+            assert t.to_ratfun(arity) == expanded, (case, t)
+            expected = expected + expanded
+        assert sum_factored(terms, arity) == expected, (case, terms)
+        rng.shuffle(terms)
+        assert sum_factored(terms + [t.times_scalar(-1) for t in terms], arity).is_zero()
+
+
+def test_sum_factored_packing_bounds():
+    # one monomial whose coefficient equals the bound, at a power of two
+    for scalar in (2**64, -(2**64), 2**64 - 1):
+        term = FactoredRatFun.product(scalar, [((0, 1, 0), 3)])
+        twice = sum_factored([term, term], 3)
+        assert twice == RatFun(Poly(3, {(0, 3, 0): 2 * scalar}))
+    # one degree group whose products have different degrees in each variable
+    cubes = [FactoredRatFun.product(1, [(form, 3)])
+             for form in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 1))]
+    expected = RatFun.zero(3)
+    for t in cubes:
+        expected = expected + naive_ratfun(t, 3)
+    assert sum_factored(cubes, 3) == expected
+    # two variables: the univariate packing of the localization sums
+    a = FactoredRatFun.product(3, [((1, 1), 4)])
+    assert sum_factored([a, a], 2) == naive_ratfun(a.times_scalar(2), 2)
+
+
+def test_factored_product_normalizes_in_one_pass():
+    # units 2, -1, 5, 3 move into the scalar; equal forms merge
+    factors = [((2, 0, 0, -4), 3), ((-1, 0, 0, 2), -1), ((0, 0, 0, 5), -2), ((3, 0, 0, 0), 1)]
+    term = FactoredRatFun.product(Fraction(-2, 3), factors)
+    assert term.scalar == Fraction(16, 25)
+    assert term.forms == {(1, 0, 0, -2): 2, (0, 0, 0, 1): -2, (1, 0, 0, 0): 1}
+    # a form whose exponents cancel leaves only its unit behind
+    term = FactoredRatFun.product(1, [((0, 2, 0, 0), 1), ((0, -1, 0, 0), -1)])
+    assert (term.scalar, term.forms) == (-2, {})
+    with pytest.raises(ValueError):
+        FactoredRatFun.product(1, [((0, 0, 0, 0), 1)])
+
+
 # -- text formats ---------------------------------------------------------------------
 
 
