@@ -71,10 +71,11 @@ print("residues sum to   =", ratfun_str(total))
 # Euler classes arrive as products of linear forms; FactoredRatFun keeps them
 # unexpanded so huge intermediate polynomials never materialize.
 
-factored = FactoredRatFun.one()
-factored = factored.times_form((1, 0, 0, 0), exponent=1)   # l0
-factored = factored.times_form((0, 1, 1, 0), exponent=-2)  # (l1 + l2)^-2
-factored = factored.times_scalar(Fraction(-1, 6))
+factored = FactoredRatFun.product(
+    Fraction(-1, 6),
+    [((1, 0, 0, 0), 1),    # l0
+     ((0, 1, 1, 0), -2)],  # (l1 + l2)^-2
+)
 print("factored          =", ratfun_str(factored.to_ratfun(ARITY)))
 
 # sums of factored terms combine over the common denominator exactly

@@ -30,11 +30,13 @@ import json
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from .equivariant import SplitGeometry
 from .localcurve import (
     GEOM_STANDARD,
+    expected_conjecture_value,
     js_invariant_closed_form,
     js_invariant_enumerated,
     residue_vanishing_check,
@@ -42,7 +44,6 @@ from .localcurve import (
 )
 from .ratfun import ratfun_parse, ratfun_str
 from .series import (
-    ClassLattice,
     GVTable,
     TParam,
     WallError,
@@ -55,8 +56,8 @@ from .series import (
     pt_coeff_from_gv,
     pt_series_from_gv,
     wall_jump_check,
-    _parse_class_table,
-    _parse_meeting,
+    _bounded_lattice,
+    _read_class_tables,
 )
 
 EXIT_OK = 0
@@ -65,6 +66,7 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 ARITY = 4
+GW_TABLES = ("gw0", "gw1", "n0_c2")
 
 
 def _fail_usage(message):
@@ -116,7 +118,14 @@ def _golden_js(path, result):
     path = Path(path)
     rendered = ratfun_str(result.value)
     if not path.exists():
-        path.write_text(rendered + "\n", encoding="utf-8")
+        # a new golden file appears whole or not at all
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(rendered + "\n")
+            os.replace(tmp, path)
+        finally:
+            Path(tmp).unlink(missing_ok=True)
         print(f"golden file created: {path}", file=sys.stderr)
         return EXIT_OK
     stored = path.read_text(encoding="utf-8").strip()
@@ -169,17 +178,33 @@ def cmd_js(args):
 # -- verify --------------------------------------------------------------------------
 
 
+def _checked_row(row):
+    """The row, once its value is canonical text and its status the one that
+    value earns; ValueError otherwise."""
+    value = ratfun_parse(row["value"], ARITY)
+    if ratfun_str(value) != row["value"]:
+        raise ValueError(f"value {row['value']!r} is not canonical")
+    expected = expected_conjecture_value(row["n"], row["d"])
+    status = "match" if value == expected else "counterexample"
+    if row["conjecture_status"] != status:
+        raise ValueError(f"status {row['conjecture_status']!r} should be {status!r}")
+    return row
+
+
 def _load_checkpoint(path):
+    """Re-checked rows by (n, d), and the length of the file's complete lines:
+    an unterminated last line is a write torn by a crash and is dropped."""
+    data = path.read_bytes() if path.exists() else b""
+    complete = data[: data.rfind(b"\n") + 1]
     rows_done = {}
-    if path.exists():
-        with path.open(encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                row = json.loads(line)
+    for number, line in enumerate(complete.decode("utf-8").splitlines(), 1):
+        try:
+            if line.strip():
+                row = _checked_row(json.loads(line))
                 rows_done[(row["n"], row["d"])] = row
-    return rows_done
+        except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+            raise ValueError(f"line {number} is malformed: {exc!r}") from exc
+    return rows_done, len(complete)
 
 
 def cmd_verify(args):
@@ -191,10 +216,11 @@ def cmd_verify(args):
     if args.checkpoint:
         path = Path(args.checkpoint)
         try:
-            rows_done = _load_checkpoint(path)
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            return _fail_usage(f"checkpoint {path} is malformed: {exc}")
+            rows_done, complete = _load_checkpoint(path)
+        except ValueError as exc:
+            return _fail_usage(f"checkpoint {path}: {exc}")
         handle = path.open("a", encoding="utf-8")
+        handle.truncate(complete)
 
         def on_row(row):
             handle.write(json.dumps(row, sort_keys=True) + "\n")
@@ -331,28 +357,15 @@ def cmd_series_wallcheck(args):
 
 
 def _load_gw_data(path, deg_max):
+    """Lattice, gw0, gw1, n0_c2 and meeting tables; without ``deg_max`` the
+    lattice also reaches the degree of every meeting pair."""
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    rank = int(data["rank"])
-    omega = tuple(int(w) for w in data["omega"])
-    tables = {}
-    for name in ("gw0", "gw1", "n0_c2"):
-        raw = data.get(name) or {}
-        tables[name] = _parse_class_table(name, raw, rank)
-    meeting = _parse_meeting(data.get("meeting") or {}, rank)
-    if deg_max is None:
-        degs = [
-            sum(w * b for w, b in zip(omega, beta))
-            for table in tables.values()
-            for beta in table
-        ]
-        degs.extend(
-            sum(w * (b1 + b2) for w, b1, b2 in zip(omega, left, right))
-            for left, right in meeting
-        )
-        deg_max = max(degs, default=0)
-    lattice = ClassLattice(rank, omega, deg_max)
-    return lattice, tables["gw0"], tables["gw1"], tables["n0_c2"], meeting
+        rank, omega, tables = _read_class_tables(json.load(handle), GW_TABLES)
+    tables = {name: table or {} for name, table in tables.items()}
+    classes = [beta for name in GW_TABLES for beta in tables[name]]
+    classes += [tuple(a + b for a, b in zip(*pair)) for pair in tables["meeting"]]
+    lattice = _bounded_lattice(rank, omega, deg_max, classes)
+    return (lattice, *(tables[name] for name in GW_TABLES), tables["meeting"])
 
 
 def cmd_series_gvinvert(args):

@@ -21,10 +21,10 @@ raised to its multiplicity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import re
 
-from .ratfun import FactoredRatFun, Poly, RatFun
+from .ratfun import FactoredRatFun, _signed_sum
 
 __all__ = [
     "Weight",
@@ -292,7 +292,7 @@ _SUBSETS_123 = (
 )
 
 
-def chi_x_pair(bundle_a, bundle_b, geom, normal_weights=NORMAL_WEIGHTS, raw=False):
+def chi_x_pair(bundle_a, bundle_b, geom, raw=False):
     """chi on the total space of the pair of pushed-forward line bundles.
 
     Computed by the Koszul resolution of the zero section: an alternating sum
@@ -306,23 +306,23 @@ def chi_x_pair(bundle_a, bundle_b, geom, normal_weights=NORMAL_WEIGHTS, raw=Fals
         zinf_shift = sum(degrees[i - 1] for i in subset)
         weight = ZERO_WEIGHT
         for i in subset:
-            weight = _add_weights(weight, normal_weights[i - 1])
+            weight = _add_weights(weight, NORMAL_WEIGHTS[i - 1])
         piece = chi_p1_pair(bundle_a, bundle_b.twisted(zinf_shift, weight))
         total = total + piece.scale(sign)
     return total if raw else total.cy_normalized()
 
 
-def chi_adjunction(bundles, geom, normal_weights=NORMAL_WEIGHTS, raw=False):
+def chi_adjunction(bundles, geom):
     """chi(F, F) on the total space for F a sum of line bundles on the line.
 
     Sums chi_x_pair over all ordered pairs of summands; the result is
-    rewritten via the anticanonical relation unless ``raw`` is set.
+    rewritten via the anticanonical relation.
     """
     total = KClass()
     for bundle_a in bundles:
         for bundle_b in bundles:
-            total = total + chi_x_pair(bundle_a, bundle_b, geom, normal_weights, raw=True)
-    return total if raw else total.cy_normalized()
+            total = total + chi_x_pair(bundle_a, bundle_b, geom, raw=True)
+    return total.cy_normalized()
 
 
 # -- Euler classes ------------------------------------------------------------------
@@ -343,43 +343,12 @@ def euler_factored(kclass):
     return FactoredRatFun.product(1, kclass.terms.items())
 
 
-def euler_class(kclass, lambda_basis=None, arity=4):
-    """Euler class as a RatFun, optionally against a custom linear basis.
-
-    With the default basis, weight w maps to the form w0*l0 + w1*l1 + w2*l2 +
-    w3*l3.  A custom ``lambda_basis`` is a sequence of four polynomials
-    substituted for l0..l3 (e.g. to impose a Calabi-Yau specialization).
-    Raises TrivialWeightError when the trivial character survives with
-    nonzero net multiplicity.
+def euler_class(kclass):
+    """Euler class as a RatFun: weight w maps to the form w0*l0 + w1*l1 +
+    w2*l2 + w3*l3.  Raises TrivialWeightError when the trivial character
+    survives with nonzero net multiplicity.
     """
-    if lambda_basis is None:
-        return euler_factored(kclass).to_ratfun(arity)
-    basis = list(lambda_basis)
-    if len(basis) != 4:
-        raise ValueError("lambda_basis must supply four linear polynomials")
-    arity = basis[0].arity
-    trivial = kclass.terms.get(ZERO_WEIGHT, 0)
-    if trivial:
-        raise TrivialWeightError(
-            f"trivial character with net multiplicity {trivial} has no Euler factor"
-        )
-    num = Poly.one(arity)
-    den = Poly.one(arity)
-    for w in sorted(kclass.terms):
-        m = kclass.terms[w]
-        form = Poly(arity)
-        for i, wi in enumerate(w):
-            if wi:
-                form = form + basis[i].scale(wi)
-        if form.is_zero():
-            raise TrivialWeightError(
-                f"weight {w} maps to the zero form under the given basis"
-            )
-        if m > 0:
-            num = num * form**m
-        else:
-            den = den * form ** (-m)
-    return RatFun(num, den)
+    return euler_factored(kclass).to_ratfun(4)
 
 
 def check_square_root(full, half):
@@ -396,33 +365,8 @@ def _kclass_sort_key(w):
 
 def kclass_str(kclass):
     """Canonical text: characters ordered by total |weight|, e.g. 2 - t3 - t3^-1."""
-    if not kclass.terms:
-        return "0"
-    parts = []
-    for w in sorted(kclass.terms, key=_kclass_sort_key):
-        m = kclass.terms[w]
-        factors = []
-        for i, e in enumerate(w):
-            if e == 1:
-                factors.append(f"t{i}")
-            elif e:
-                factors.append(f"t{i}^{e}")
-        body = "*".join(factors)
-        mag = abs(m)
-        if not body:
-            text = str(mag)
-        elif mag == 1:
-            text = body
-        else:
-            text = f"{mag}*{body}"
-        parts.append((m < 0, text))
-    out = []
-    for idx, (negative, text) in enumerate(parts):
-        if idx == 0:
-            out.append(f"-{text}" if negative else text)
-        else:
-            out.append(f" - {text}" if negative else f" + {text}")
-    return "".join(out)
+    weights = sorted(kclass.terms, key=_kclass_sort_key)
+    return _signed_sum(((w, kclass.terms[w]) for w in weights), "t")
 
 
 _KTERM_SPLIT = re.compile(r"(?<!\^)(?=[+-])")

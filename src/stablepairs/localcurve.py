@@ -26,6 +26,7 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from multiprocessing import Pool
 
 from .equivariant import (
@@ -36,7 +37,7 @@ from .equivariant import (
     chi_p1_line,
     euler_factored,
 )
-from .ratfun import FactoredRatFun, Poly, RatFun, ratfun_str, specialize, sum_factored
+from .ratfun import FactoredRatFun, Poly, RatFun, ratfun_str, sum_factored
 
 __all__ = [
     "GEOM_STANDARD",
@@ -249,8 +250,7 @@ def _contribution_general(comp):
     return euler_factored(half).times_scalar(orientation_sign(comp))
 
 
-def _contribution_d1(args):
-    point, geom = args
+def _contribution_d1(point, geom):
     return euler_factored(half_obstruction_d1(point, geom))
 
 
@@ -293,12 +293,28 @@ def _worker_count(jobs, items):
     return max(1, min(jobs, os.cpu_count() or 1, items))
 
 
-def _map_contributions(worker, items, jobs):
+def _ordered_map(fn, items, jobs):
+    """Yield fn(item) for the items in order, computed on one pool of
+    _worker_count(jobs, len(items)) processes when that is more than one."""
     workers = _worker_count(jobs, len(items))
-    if workers > 1:
-        with Pool(processes=workers) as pool:
-            return pool.map(worker, items)
-    return [worker(item) for item in items]
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    with Pool(processes=workers) as pool:
+        # the chunk size Pool.map would choose
+        yield from pool.imap(fn, items, -(-len(items) // (4 * workers)))
+
+
+def _localize(n, d, geom, points, term, jobs, audit, start):
+    """The invariant as the reduced sum of term(point) over the fixed points."""
+    terms = list(_ordered_map(term, points, jobs))
+    contributions = None
+    if audit:
+        contributions = [(p.label(), t.to_ratfun(4)) for p, t in zip(points, terms)]
+    return InvariantResult(
+        n, d, geom.degrees, sum_factored(terms, 4), len(points), _ms_since(start),
+        contributions,
+    )
 
 
 def js_invariant_enumerated(n, d, geom=GEOM_STANDARD, jobs=1, audit=False):
@@ -320,20 +336,10 @@ def js_invariant_enumerated(n, d, geom=GEOM_STANDARD, jobs=1, audit=False):
             "degree >= 2 fixed points are classified only on the (-1,-1,0) geometry"
         )
     if d == 1:
-        points = d1_fixed_points(n)
-        raw = _map_contributions(_contribution_d1, [(p, geom) for p in points], jobs)
+        points, term = d1_fixed_points(n), partial(_contribution_d1, geom=geom)
     else:
-        points = enumerate_fixed_points(n, d)
-        raw = _map_contributions(_contribution_general, points, jobs)
-    value = sum_factored(raw, 4)
-    contributions = None
-    if audit:
-        contributions = [
-            (p.label(), term.to_ratfun(4)) for p, term in zip(points, raw)
-        ]
-    return InvariantResult(
-        n, d, geom.degrees, value, len(points), _ms_since(start), contributions
-    )
+        points, term = enumerate_fixed_points(n, d), _contribution_general
+    return _localize(n, d, geom, points, term, jobs, audit, start)
 
 
 def _closed_form_term(comp):
@@ -373,16 +379,7 @@ def js_invariant_closed_form(n, d, jobs=1, audit=False):
     if n < d or n % d != 0:
         raise ValueError(f"closed formula needs d | n and n >= d, got n={n}, d={d}")
     comps = enumerate_fixed_points(n, d)
-    terms = _map_contributions(_closed_form_term, comps, jobs)
-    value = sum_factored(terms, 4)
-    contributions = None
-    if audit:
-        contributions = [
-            (c.label(), t.to_ratfun(4)) for c, t in zip(comps, terms)
-        ]
-    return InvariantResult(
-        n, d, GEOM_STANDARD.degrees, value, len(comps), _ms_since(start), contributions
-    )
+    return _localize(n, d, GEOM_STANDARD, comps, _closed_form_term, jobs, audit, start)
 
 
 def expected_conjecture_value(n, d):
@@ -398,32 +395,27 @@ def _ms_since(start):
     return int((time.monotonic() - start) * 1000)
 
 
+def _verify_row(key):
+    return js_invariant_closed_form(*key).to_report()
+
+
 def verify_conjecture(d_max, ratio_max, jobs=1, rows_done=None, on_row=None):
     """Sweep P(n, d) for d <= d_max, n = d, 2d, ..., ratio_max*d.
 
     Every value is computed by the closed formula with full simplification
-    and compared against the conjectured 1/(d! l3^d) (n = d) or zero.
+    and compared against the conjectured 1/(d! l3^d) (n = d) or zero.  The
+    rows are spread over one pool of up to ``jobs`` workers.
     ``rows_done`` maps (n, d) to previously computed row dicts to skip;
-    ``on_row`` is called with each freshly computed row dict.
+    ``on_row`` is called with each freshly computed row dict, in order.
     """
-    rows = []
-    counterexamples = []
-    for d in range(1, d_max + 1):
-        for ratio in range(1, ratio_max + 1):
-            n = ratio * d
-            prior = rows_done.get((n, d)) if rows_done else None
-            if prior is not None:
-                rows.append(prior)
-                if prior.get("conjecture_status") == "counterexample":
-                    counterexamples.append(prior)
-                continue
-            result = js_invariant_closed_form(n, d, jobs=jobs)
-            row = result.to_report()
-            rows.append(row)
-            if row["conjecture_status"] == "counterexample":
-                counterexamples.append(row)
-            if on_row is not None:
-                on_row(row)
+    grid = [(ratio * d, d) for d in range(1, d_max + 1) for ratio in range(1, ratio_max + 1)]
+    done = dict(rows_done or {})
+    for row in _ordered_map(_verify_row, [key for key in grid if key not in done], jobs):
+        done[row["n"], row["d"]] = row
+        if on_row is not None:
+            on_row(row)
+    rows = [done[key] for key in grid]
+    counterexamples = [row for row in rows if row.get("conjecture_status") == "counterexample"]
     return {
         "d_max": d_max,
         "ratio_max": ratio_max,
@@ -512,14 +504,13 @@ def residue_vanishing_check(d):
 
 
 def is_homogeneous_of_degree(f, degree):
-    """True when f(s*l0, ..., s*l3) = s^degree * f, checked with a fifth
-    symbolic variable s."""
-    ext = f.extended(5)
-    s = Poly.variable(4, 5)
-    scaled = specialize(
-        ext, {i: Poly.variable(i, 5) * s for i in range(4)}
-    )
-    s_rf = RatFun(s)
-    if degree >= 0:
-        return scaled == ext * s_rf**degree
-    return scaled * s_rf ** (-degree) == ext
+    """True when f(s*l0, ..., s*l3) = s^degree * f.
+
+    A reduced num/den is homogeneous exactly when num and den are, and its
+    degree is then their difference; zero is homogeneous of every degree.
+    """
+    if f.is_zero():
+        return True
+    num = {sum(m) for m in f.num.coeffs}
+    den = {sum(m) for m in f.den.coeffs}
+    return len(num) == len(den) == 1 and num.pop() - den.pop() == degree

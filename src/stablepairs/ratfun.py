@@ -313,15 +313,6 @@ class Poly:
             result = result + term
         return result
 
-    def extended(self, new_arity):
-        """Embed into a ring with more variables (same variable indices)."""
-        if new_arity < self.arity:
-            raise ValueError("cannot shrink arity")
-        if new_arity == self.arity:
-            return self
-        pad = (0,) * (new_arity - self.arity)
-        return Poly(new_arity, {m + pad: c for m, c in self.coeffs.items()})
-
     # -- division --------------------------------------------------------------
 
     def try_divide(self, divisor):
@@ -392,17 +383,14 @@ class Poly:
         return Poly(self.arity, coeffs)
 
 
-def _poly_str_terms(p, names):
-    parts = []
-    for mono in sorted(p.coeffs, key=_grlex_key, reverse=True):
-        c = p.coeffs[mono]
-        factors = []
-        for i, e in enumerate(mono):
-            if e == 1:
-                factors.append(names[i])
-            elif e > 1:
-                factors.append(f"{names[i]}^{e}")
-        body = "*".join(factors)
+def _signed_sum(terms, var):
+    """Text of sum(c * prod(var_i ** e_i)) over (exponents, c) pairs in the
+    given order, e.g. "3/2*l0^2 - l1*l2 + 7"; "0" when there are none."""
+    out = ""
+    for exponents, c in terms:
+        body = "*".join(
+            f"{var}{i}" if e == 1 else f"{var}{i}^{e}" for i, e in enumerate(exponents) if e
+        )
         mag = abs(c)
         if not body:
             text = str(mag)
@@ -410,30 +398,24 @@ def _poly_str_terms(p, names):
             text = body
         else:
             text = f"{mag}*{body}"
-        parts.append((c < 0, text))
-    return parts
-
-
-def poly_str(p, prefix="l"):
-    """Canonical text form: graded-lex descending terms, coefficients p/q."""
-    if p.is_zero():
-        return "0"
-    names = [f"{prefix}{i}" for i in range(p.arity)]
-    parts = _poly_str_terms(p, names)
-    out = []
-    for idx, (negative, text) in enumerate(parts):
-        if idx == 0:
-            out.append(f"-{text}" if negative else text)
+        if out:
+            out += f" - {text}" if c < 0 else f" + {text}"
         else:
-            out.append(f" - {text}" if negative else f" + {text}")
-    return "".join(out)
+            out = f"-{text}" if c < 0 else text
+    return out or "0"
+
+
+def poly_str(p):
+    """Canonical text form: graded-lex descending terms, coefficients p/q."""
+    monos = sorted(p.coeffs, key=_grlex_key, reverse=True)
+    return _signed_sum(((m, p.coeffs[m]) for m in monos), "l")
 
 
 _TERM_SPLIT = re.compile(r"(?=[+-])")
-_FACTOR_RE = re.compile(r"^([a-zA-Z]+)(\d+)(?:\^(-?\d+))?$")
+_FACTOR_RE = re.compile(r"^l(\d+)(?:\^(-?\d+))?$")
 
 
-def poly_parse(text, arity=4, prefix="l"):
+def poly_parse(text, arity=4):
     """Parse the canonical polynomial text form (inverse of poly_str)."""
     text = text.strip()
     if text in ("0", "-0", "+0"):
@@ -461,14 +443,14 @@ def poly_parse(text, arity=4, prefix="l"):
             start = 1
         for factor in factors[start:]:
             m = _FACTOR_RE.match(factor)
-            if not m or m.group(1) != prefix:
+            if not m:
                 raise ValueError(f"bad factor {factor!r} in polynomial text {text!r}")
-            index = int(m.group(2))
-            exponent = int(m.group(3)) if m.group(3) else 1
+            index = int(m.group(1))
+            exponent = int(m.group(2)) if m.group(2) else 1
             if exponent < 0:
                 raise ValueError("negative exponents are not polynomial")
             if index >= arity:
-                raise ValueError(f"variable {prefix}{index} exceeds arity {arity}")
+                raise ValueError(f"variable l{index} exceeds arity {arity}")
             mono[index] += exponent
         result = result + Poly(arity, {tuple(mono): coeff})
     return result
@@ -668,10 +650,6 @@ class RatFun:
     def constant(cls, value, arity=4):
         return cls(Poly.constant(value, arity))
 
-    @classmethod
-    def variable(cls, index, arity=4):
-        return cls(Poly.variable(index, arity))
-
     @property
     def arity(self):
         return self.num.arity
@@ -748,9 +726,6 @@ class RatFun:
         for _ in range(exponent):
             out = out * self
         return out
-
-    def extended(self, new_arity):
-        return RatFun._trusted(self.num.extended(new_arity), self.den.extended(new_arity))
 
     def as_fraction(self):
         """The value as a Fraction, when constant."""
@@ -852,10 +827,6 @@ class FactoredRatFun:
         self.forms = dict(forms) if forms else {}
 
     @classmethod
-    def one(cls):
-        return cls()
-
-    @classmethod
     def product(cls, scalar, factors):
         """scalar * prod(form ** exponent) over (integer form, exponent)
         pairs, normalized in one pass with integer gcds."""
@@ -884,12 +855,6 @@ class FactoredRatFun:
 
     def times_scalar(self, value):
         return FactoredRatFun(self.scalar * value, self.forms)
-
-    def times_form(self, coefficients, exponent=1):
-        """Multiply by (integer linear form)**exponent, normalizing the form."""
-        return FactoredRatFun.product(
-            self.scalar, [*self.forms.items(), (tuple(coefficients), exponent)]
-        )
 
     def is_zero(self):
         return self.scalar == 0
@@ -1036,27 +1001,27 @@ def sum_factored(terms, arity):
 # -- text format -------------------------------------------------------------------
 
 
-def ratfun_str(f, prefix="l"):
+def ratfun_str(f):
     """Canonical text: "0", "(num)" for polynomials, else "(num)/(den)"."""
     if f.is_zero():
         return "0"
-    num = poly_str(f.num, prefix)
+    num = poly_str(f.num)
     if f.den.is_constant() and f.den.constant_value() == 1:
         return f"({num})"
-    return f"({num})/({poly_str(f.den, prefix)})"
+    return f"({num})/({poly_str(f.den)})"
 
 
-def ratfun_parse(text, arity=4, prefix="l"):
+def ratfun_parse(text, arity=4):
     """Parse the canonical rational-function text form (inverse of ratfun_str)."""
     text = text.strip()
     if text == "0":
         return RatFun.zero(arity)
     m = re.fullmatch(r"\((.*)\)\s*/\s*\((.*)\)", text)
     if m:
-        num = poly_parse(m.group(1), arity, prefix)
-        den = poly_parse(m.group(2), arity, prefix)
+        num = poly_parse(m.group(1), arity)
+        den = poly_parse(m.group(2), arity)
         return RatFun(num, den)
     m = re.fullmatch(r"\((.*)\)", text)
     if m:
-        return RatFun(poly_parse(m.group(1), arity, prefix))
-    return RatFun(poly_parse(text, arity, prefix))
+        return RatFun(poly_parse(m.group(1), arity))
+    return RatFun(poly_parse(text, arity))

@@ -113,6 +113,33 @@ def _parse_meeting(raw, rank):
     return meeting
 
 
+def _read_class_tables(data, names):
+    """rank, omega and {name: table} for the class tables ``names`` and
+    ``meeting`` of a JSON object; an absent or null table reads as None."""
+    rank = int(data["rank"])
+    omega = tuple(int(w) for w in data["omega"])
+    tables = {}
+    for name in (*names, "meeting"):
+        raw = data.get(name)
+        if raw is None:
+            tables[name] = None
+        elif not isinstance(raw, dict):
+            raise ValueError(f"table {name} must be a JSON object")
+        elif name == "meeting":
+            tables[name] = _parse_meeting(raw, rank)
+        else:
+            tables[name] = _parse_class_table(name, raw, rank)
+    return rank, omega, tables
+
+
+def _bounded_lattice(rank, omega, dmax, classes):
+    """The lattice up to degree ``dmax`` or, when that is None, up to the
+    largest degree among ``classes``."""
+    if dmax is None:
+        dmax = max((sum(w * b for w, b in zip(omega, beta)) for beta in classes), default=0)
+    return ClassLattice(rank, omega, dmax)
+
+
 @dataclass(frozen=True)
 class ClassLattice:
     """Effective classes: tuples in Z^rank with degree omega . beta <= dmax."""
@@ -271,33 +298,17 @@ class GVTable:
 
     @classmethod
     def from_json(cls, data, dmax=None):
-        rank = int(data["rank"])
-        omega = tuple(int(w) for w in data["omega"])
-        tables = {}
-        for name in ("n0", "n1", "p0", "nmin"):
-            raw = data.get(name)
-            if raw is None:
-                tables[name] = None
-                continue
-            tables[name] = _parse_class_table(name, raw, rank)
-        meeting = None
-        if data.get("meeting") is not None:
-            meeting = _parse_meeting(data["meeting"], rank)
-        if dmax is None:
-            degs = [
-                sum(w * b for w, b in zip(omega, beta))
-                for table in tables.values()
-                if table
-                for beta in table
-            ]
-            dmax = max(degs, default=0)
-        lattice = ClassLattice(rank, omega, dmax)
+        """The table of a JSON object; without ``dmax`` the lattice reaches
+        the largest degree among the class keys (meeting pairs not counted)."""
+        names = ("n0", "n1", "p0", "nmin")
+        rank, omega, tables = _read_class_tables(data, names)
+        classes = [beta for name in names for beta in tables[name] or ()]
         return cls(
-            lattice,
+            _bounded_lattice(rank, omega, dmax, classes),
             n0=tables["n0"] or {},
             n1=tables["n1"] or {},
             p0=tables["p0"],
-            meeting=meeting,
+            meeting=tables["meeting"],
             nmin=tables["nmin"],
         )
 
@@ -476,11 +487,6 @@ class TruncatedSeries:
                 else:
                     out.pop(key, None)
         return TruncatedSeries(self.lattice, self.nmax, out)
-
-    def items_sorted(self):
-        return sorted(
-            self.coeffs.items(), key=lambda kv: (kv[0][0], self.lattice.deg(kv[0][1]), kv[0][1])
-        )
 
 
 def _exp_q_series(log_coeffs, lattice):

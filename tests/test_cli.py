@@ -222,6 +222,17 @@ def test_unparseable_golden_exits_2(tmp_path):
     assert run(["js", "--n", "1", "--d", "1", "--golden", str(golden)])[0] == 2
 
 
+def test_golden_file_is_blessed_whole_or_not_at_all(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("stablepairs.cli.os.replace", fail)
+    code, _, err = run(["js", "--n", "1", "--d", "1", "--golden",
+                        str(tmp_path / "g.txt")])
+    assert code == 3 and "disk full" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- verify --------------------------------------------------------------------------
 
 
@@ -268,6 +279,45 @@ def test_verify_checkpoint_resume(tmp_path):
     resumed = ck.read_text().strip().splitlines()
     assert len(resumed) == 6
     assert resumed[:4] == lines[:4]
+
+
+@pytest.mark.parametrize("row", [
+    {"value": "garbage", "conjecture_status": "match"},
+    {"value": "(2/2)/(l3)", "conjecture_status": "match"},
+    {"value": "(1)/(l3^2)", "conjecture_status": "match"},
+    {"value": "(1)/(l3)", "conjecture_status": "counterexample"},
+    {"value": "(1)/(0)", "conjecture_status": "match"},
+    {"value": 7, "conjecture_status": "match"},
+    {"value": "(1)/(l3)"},
+])
+def test_verify_checkpoint_rechecks_loaded_rows(tmp_path, row):
+    ck = tmp_path / "rows.jsonl"
+    good = {"n": 2, "d": 1, "value": "0", "conjecture_status": "match"}
+    ck.write_text(json.dumps(good) + "\n" + json.dumps({"n": 1, "d": 1, **row}) + "\n")
+    before = ck.read_text()
+    code, out, err = run(["verify", "--d-max", "1", "--ratio-max", "1",
+                          "--checkpoint", str(ck)])
+    assert (code, out) == (2, "")
+    assert "line 2" in err
+    assert ck.read_text() == before
+
+
+def test_verify_checkpoint_resumes_after_torn_last_line(tmp_path):
+    argv = ["verify", "--d-max", "3", "--ratio-max", "3", "--format", "json"]
+    fresh = tmp_path / "fresh.jsonl"
+    fresh_run = run(argv + ["--checkpoint", str(fresh)])
+    assert fresh_run[0] == 0
+    lines = fresh.read_text().splitlines(keepends=True)
+
+    torn = tmp_path / "torn.jsonl"
+    torn.write_text("".join(lines[:2]) + '{"n": 3, "d": 1, "val')
+    assert run(argv + ["--checkpoint", str(torn)]) == fresh_run
+    assert torn.read_text() == fresh.read_text()
+
+    # a malformed line that was written whole is still an error
+    torn.write_text("".join(lines[:2]) + '{"n": 3, "d": 1, "val\n')
+    code, _, err = run(argv + ["--checkpoint", str(torn)])
+    assert code == 2 and "line 3" in err
 
 
 # -- residues ------------------------------------------------------------------------
@@ -432,6 +482,21 @@ def test_series_rejects_bad_class_tables(tmp_path, table, named):
                              + argv_tail[1:])
         assert (code, out) == (2, ""), (table, argv_tail)
         assert named in err
+
+
+@pytest.mark.parametrize("command, name", [
+    (["pt", "--n-max", "1", "--t", "inf"], "n0"),
+    (["pt", "--n-max", "1", "--t", "inf"], "p0"),
+    (["wallcheck", "--t0", "1", "--n-max", "1"], "meeting"),
+    (["gvinvert"], "gw0"),
+    (["gvinvert"], "meeting"),
+])
+def test_series_rejects_tables_that_are_not_objects(tmp_path, command, name):
+    f = tmp_path / "table.json"
+    f.write_text(json.dumps({"rank": 1, "omega": [1], name: []}))
+    code, out, err = run(["series", command[0], "--gv-file", str(f)] + command[1:])
+    assert (code, out) == (2, "")
+    assert f"table {name} must be a JSON object" in err
 
 
 def test_series_gvinvert_rejects_bad_class_keys(tmp_path):

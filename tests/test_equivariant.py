@@ -195,17 +195,6 @@ def test_euler_factored_agrees_with_expanded():
         assert euler_factored(u).to_ratfun(4) == euler_class(u)
 
 
-def test_euler_class_with_custom_basis():
-    # the trace-free substitution l0 -> -l1 - l2 - l3 through a basis change
-    l = [Poly.variable(i, 4) for i in range(4)]
-    basis = [-l[1] - l[2] - l[3], l[1], l[2], l[3]]
-    value = euler_class(KClass({(1, 0, 0, 1): 1}), lambda_basis=basis)
-    assert value == RatFun(-l[1] - l[2])
-    # a weight that the substitution kills is an error
-    with pytest.raises(TrivialWeightError):
-        euler_class(KClass({(1, 1, 1, 1): 1}), lambda_basis=basis)
-
-
 # -- text format ------------------------------------------------------------------------
 
 

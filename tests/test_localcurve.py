@@ -274,6 +274,34 @@ def test_worker_count_is_capped(monkeypatch):
     assert _worker_count(8, 100) == 1
 
 
+def test_each_call_starts_at_most_one_pool(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items, chunksize):
+            return map(fn, items)
+
+    expected_sweep = verify_conjecture(2, 3)
+    expected_value = js_invariant_enumerated(6, 2, audit=True)
+    monkeypatch.setattr("stablepairs.localcurve.Pool", SerialPool)
+    monkeypatch.setattr("stablepairs.localcurve.os.cpu_count", lambda: 2)
+    # the sweep spreads whole rows; each row computes in process
+    assert verify_conjecture(2, 3, jobs=4) == expected_sweep
+    assert started == [2]
+    value = js_invariant_enumerated(6, 2, jobs=4, audit=True)
+    assert value.contributions == expected_value.contributions
+    assert started == [2, 2]
+
+
 def test_report_shape():
     report = js_invariant_enumerated(2, 2).to_report()
     assert report == {

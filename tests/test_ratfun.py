@@ -280,18 +280,16 @@ def test_residue_in_other_variable():
 
 
 def test_factored_ratfun_expansion():
-    term = (
-        FactoredRatFun(Fraction(1, 2))
-        .times_form((0, 0, 0, 1), -2)
-        .times_form((1, 0, 0, 1), 1)
+    term = FactoredRatFun.product(
+        Fraction(1, 2), [((0, 0, 0, 1), -2), ((1, 0, 0, 1), 1)]
     )
     assert term.to_ratfun(ARITY) == RatFun((L0 + L3) * Fraction(1, 2), L3 * L3)
 
 
 def test_factored_form_sign_normalization():
     # -l0 + l3 and l0 - l3 are the same factor up to the scalar unit
-    a = FactoredRatFun(Fraction(1)).times_form((-1, 0, 0, 1), 1)
-    b = FactoredRatFun(Fraction(-1)).times_form((1, 0, 0, -1), 1)
+    a = FactoredRatFun.product(Fraction(1), [((-1, 0, 0, 1), 1)])
+    b = FactoredRatFun.product(Fraction(-1), [((1, 0, 0, -1), 1)])
     assert a.to_ratfun(ARITY) == b.to_ratfun(ARITY)
 
 
@@ -301,11 +299,11 @@ def test_sum_factored_matches_naive_sum():
     for _ in range(30):
         terms = []
         for _ in range(rng.randint(1, 5)):
-            t = FactoredRatFun(
-                Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            t = FactoredRatFun.product(
+                Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                [(rng.choice(forms), rng.choice([-2, -1, 1]))
+                 for _ in range(rng.randint(0, 3))],
             )
-            for _ in range(rng.randint(0, 3)):
-                t = t.times_form(rng.choice(forms), rng.choice([-2, -1, 1]))
             terms.append(t)
         expected = RatFun.zero()
         for t in terms:
@@ -314,8 +312,8 @@ def test_sum_factored_matches_naive_sum():
 
 
 def test_sum_factored_cancellation_to_zero():
-    plus = FactoredRatFun(Fraction(1)).times_form((0, 0, 0, 1), -1)
-    minus = FactoredRatFun(Fraction(-1)).times_form((0, 0, 0, 1), -1)
+    plus = FactoredRatFun.product(Fraction(1), [((0, 0, 0, 1), -1)])
+    minus = FactoredRatFun.product(Fraction(-1), [((0, 0, 0, 1), -1)])
     assert sum_factored([plus, minus], ARITY).is_zero()
 
 
