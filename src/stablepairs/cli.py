@@ -74,6 +74,12 @@ def _fail_usage(message):
     return EXIT_USAGE
 
 
+def _fail_path(what, path, exc):
+    """Usage error for a file path that cannot be opened, such as one in a
+    missing directory or one that names a directory."""
+    return _fail_usage(f"{what} {path} cannot be used: {exc.strerror or exc}")
+
+
 def _fail_mismatch(message):
     print(f"mismatch: {message}", file=sys.stderr)
     return EXIT_MISMATCH
@@ -119,7 +125,10 @@ def _golden_js(path, result):
     rendered = ratfun_str(result.value)
     if not path.exists():
         # a new golden file appears whole or not at all
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+        try:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+        except OSError as exc:
+            return _fail_path("golden file", path, exc)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(rendered + "\n")
@@ -128,10 +137,12 @@ def _golden_js(path, result):
             Path(tmp).unlink(missing_ok=True)
         print(f"golden file created: {path}", file=sys.stderr)
         return EXIT_OK
-    stored = path.read_text(encoding="utf-8").strip()
     try:
+        stored = path.read_text(encoding="utf-8").strip()
         expected = ratfun_parse(stored, ARITY)
-    except ValueError as exc:
+    except OSError as exc:
+        return _fail_path("golden file", path, exc)
+    except (ValueError, ZeroDivisionError) as exc:  # not UTF-8, bad text, zero den
         return _fail_usage(f"golden file {path} does not parse: {exc}")
     if expected != result.value:
         return _fail_mismatch(
@@ -217,9 +228,11 @@ def cmd_verify(args):
         path = Path(args.checkpoint)
         try:
             rows_done, complete = _load_checkpoint(path)
+            handle = path.open("a", encoding="utf-8")
         except ValueError as exc:
             return _fail_usage(f"checkpoint {path}: {exc}")
-        handle = path.open("a", encoding="utf-8")
+        except OSError as exc:
+            return _fail_path("checkpoint", path, exc)
         handle.truncate(complete)
 
         def on_row(row):

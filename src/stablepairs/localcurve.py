@@ -428,20 +428,38 @@ def verify_conjecture(d_max, ratio_max, jobs=1, rows_done=None, on_row=None):
 # -- residue identity for n = 2d -----------------------------------------------------
 
 
+def _residue_term(d0, d1):
+    """Summand of the n = 2d invariant, l3-homogenized, as a factored term:
+
+    (-1)^d1 / (d0! d1!) * (l0 + (d0 - d1) l3) / prod_{j=-d1}^{d0} (l0 + j l3).
+
+    The numerator is one of the denominator forms, so it cancels.
+    """
+    factors = [((1, 0, 0, d0 - d1), 1)]
+    factors.extend(((1, 0, 0, j), -1) for j in range(-d1, d0 + 1))
+    scalar = Fraction((-1) ** d1, math.factorial(d0) * math.factorial(d1))
+    return FactoredRatFun.product(scalar, factors)
+
+
+def _at_l3_one(term):
+    """A residue term at l3 = 1: scalar / prod(l0 + j), the product expanded
+    in ints.  Its numerator is constant and its forms are distinct, so it is
+    already reduced."""
+    den = [1]  # coefficients in l0, lowest power first
+    for _, _, _, j in term.forms:
+        den = [low + j * c for low, c in zip([0] + den, den + [0])]
+    return RatFun._trusted(
+        Poly.constant(term.scalar, 4),
+        Poly(4, {(power, 0, 0, 0): c for power, c in enumerate(den)}),
+    )
+
+
 def _residue_summand(d0, d1):
-    """Summand of the n = 2d invariant after the l3 = 1 specialization:
+    """The residue term as a RatFun at l3 = 1:
 
     (-1)^d1 / (d0! d1!) * (l0 + d0 - d1) / prod_{j=-d1}^{d0} (l0 + j).
     """
-    arity = 4
-    l0 = Poly.variable(0, arity)
-    num = Poly.constant(
-        Fraction((-1) ** d1, math.factorial(d0) * math.factorial(d1)), arity
-    ) * (l0 + Poly.constant(d0 - d1, arity))
-    den = Poly.one(arity)
-    for j in range(-d1, d0 + 1):
-        den = den * (l0 + Poly.constant(j, arity))
-    return RatFun(num, den)
+    return _at_l3_one(_residue_term(d0, d1))
 
 
 def _printed_residue_total(m, d):
@@ -470,12 +488,13 @@ def residue_vanishing_check(d):
     """
     from .ratfun import residue_at  # local import keeps module init light
 
-    summands = [(_residue_summand(d - d1, d1), d - d1, d1) for d1 in range(d + 1)]
+    terms = [_residue_term(d - d1, d1) for d1 in range(d + 1)]
+    summands = [_at_l3_one(term) for term in terms]
     pole_rows = []
     ok = True
     for m in range(-d, d + 1):
         total = RatFun.zero()
-        for f, _, _ in summands:
+        for f in summands:
             total = total + residue_at(f, m)
         res = total.as_fraction()
         printed = (
@@ -486,10 +505,8 @@ def residue_vanishing_check(d):
         pole_rows.append(
             {"m": m, "residue": str(res), "printed_form": str(printed), "ok": row_ok}
         )
-    phi = RatFun.zero()
-    for f, _, _ in summands:
-        phi = phi + f
-    phi_zero = phi.is_zero()
+    # the homogenized sum has degree -d and is Phi at l3 = 1: zero iff Phi is
+    phi_zero = sum_factored(terms, 4).is_zero()
     ok = ok and phi_zero
     return {
         "d": d,

@@ -733,12 +733,18 @@ class RatFun:
 
 
 def _reduce_fraction(num, den):
+    """Canonical (num, den): coprime, den integer-primitive with positive
+    leading coefficient.  A constant den c gives (num / c, 1) with no gcd,
+    which is the canonical form (gcd(num, c) is a constant); otherwise the
+    common factor comes from poly_gcd."""
     if den.is_zero():
         raise ZeroDivisionError("rational function with zero denominator")
     if num.arity != den.arity:
         raise ValueError("arity mismatch between numerator and denominator")
     if num.is_zero():
         return Poly(num.arity), Poly.one(num.arity)
+    if den.is_constant():
+        return num.scale(1 / den.constant_value()), Poly.one(num.arity)
     g = poly_gcd(num, den)
     if not (g.is_constant() and g.constant_value() == 1):
         num = num.exact_div(g)
@@ -763,30 +769,29 @@ def specialize(f, assignments):
     return RatFun(num, den)
 
 
-def _linear_multiplicity(p, var, pole):
-    """Largest k with (l_var - pole)**k dividing p, plus the cofactor."""
-    k = 0
-    while not p.is_zero() and p.subs({var: pole}).is_zero():
-        p = _div_linear_exact(p, var, pole)
-        k += 1
-    return k, p
+def _split_in(p, var):
+    """{rest monomial: dense coefficient list in l_var, lowest power first};
+    integral coefficients become ints."""
+    split = {}
+    for mono, c in p.coeffs.items():
+        rest = mono[:var] + (0,) + mono[var + 1:]
+        coefficients = split.setdefault(rest, [])
+        power = mono[var]
+        if len(coefficients) <= power:
+            coefficients.extend([0] * (power + 1 - len(coefficients)))
+        coefficients[power] = c.numerator if c.denominator == 1 else c
+    return split
 
 
-def _div_linear_exact(p, var, pole):
-    """Exact division of p by (l_var - pole) via synthetic (Horner) division."""
-    degree = p.degree_in(var)
-    coeffs = [p.coeff_in(var, power) for power in range(degree + 1)]
-    quotient = [None] * degree
-    carry = coeffs[degree]
-    for power in range(degree - 1, -1, -1):
+def _synthetic_division(coefficients, point):
+    """(quotient, remainder) of a dense polynomial by (x - point); the
+    remainder is its value at point (Horner)."""
+    quotient = [0] * (len(coefficients) - 1)
+    carry = coefficients[-1]
+    for power in range(len(coefficients) - 2, -1, -1):
         quotient[power] = carry
-        carry = coeffs[power] + carry.scale(pole)
-    if not carry.is_zero():
-        raise ValueError("inexact division by linear factor")
-    out = Poly(p.arity)
-    for power, c in enumerate(quotient):
-        out = out + c.shift_var(var, power)
-    return out
+        carry = coefficients[power] + carry * point
+    return quotient, carry
 
 
 def residue_at(f, pole, var=0):
@@ -794,18 +799,37 @@ def residue_at(f, pole, var=0):
 
     Zero when there is no pole; PoleOrderError when the pole order is two or
     more (the caller must fall back to full simplification).
+
+    Numerator and denominator are split once by the power of l_var into
+    dense coefficient lists, one per monomial in the other variables (ints
+    where integral).  (l_var - pole) divides the denominator exactly when
+    every list vanishes at pole, so the pole order comes from repeated
+    synthetic division and the values from Horner's rule; no Poly.subs and
+    no polynomial gcd run for a univariate f, whose residue denominator is a
+    constant (see _reduce_fraction).
     """
+    if not 0 <= var < f.arity:
+        raise ValueError(f"residue variable {var} out of range for arity {f.arity}")
     pole = Fraction(pole)
-    order, den_rest = _linear_multiplicity(f.den, var, pole)
+    point = pole.numerator if pole.denominator == 1 else pole
+    den = _split_in(f.den, var)
+    order = 0
+    while True:
+        divided = {rest: _synthetic_division(c, point) for rest, c in den.items()}
+        if any(r for _, r in divided.values()):
+            break
+        den = {rest: q for rest, (q, _) in divided.items()}
+        order += 1
     if order == 0:
         return RatFun.zero(f.arity)
     if order >= 2:
         raise PoleOrderError(
             f"pole of order {order} at variable {var} = {pole}; residue undefined"
         )
-    num_at = f.num.subs({var: pole})
-    den_at = den_rest.subs({var: pole})
-    return RatFun(num_at, den_at)
+    num = _split_in(f.num, var)
+    num_at = {rest: _synthetic_division(c, point)[1] for rest, c in num.items()}
+    den_at = {rest: r for rest, (_, r) in divided.items()}
+    return RatFun(Poly(f.arity, num_at), Poly(f.arity, den_at))
 
 
 # -- factored fast path ----------------------------------------------------------

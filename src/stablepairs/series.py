@@ -115,9 +115,15 @@ def _parse_meeting(raw, rank):
 
 def _read_class_tables(data, names):
     """rank, omega and {name: table} for the class tables ``names`` and
-    ``meeting`` of a JSON object; an absent or null table reads as None."""
-    rank = int(data["rank"])
-    omega = tuple(int(w) for w in data["omega"])
+    ``meeting`` of a JSON object; an absent or null table reads as None.
+    rank and the entries of omega must be JSON integers, not floats,
+    booleans or strings."""
+    rank, omega = data["rank"], data["omega"]
+    if type(rank) is not int:
+        raise ValueError(f"rank must be a JSON integer, got {rank!r}")
+    if not isinstance(omega, list) or not all(type(w) is int for w in omega):
+        raise ValueError(f"omega must be a JSON list of integers, got {omega!r}")
+    omega = tuple(omega)
     tables = {}
     for name in (*names, "meeting"):
         raw = data.get(name)

@@ -220,6 +220,10 @@ def test_unparseable_golden_exits_2(tmp_path):
     golden = tmp_path / "g.txt"
     golden.write_text("three over ell\n")
     assert run(["js", "--n", "1", "--d", "1", "--golden", str(golden)])[0] == 2
+    golden.write_bytes(b"\xff\xfe(1)/(l3)\n")  # not UTF-8
+    assert run(["js", "--n", "1", "--d", "1", "--golden", str(golden)])[0] == 2
+    golden.write_text("(1)/(0)\n")
+    assert run(["js", "--n", "1", "--d", "1", "--golden", str(golden)])[0] == 2
 
 
 def test_golden_file_is_blessed_whole_or_not_at_all(tmp_path, monkeypatch):
@@ -230,6 +234,16 @@ def test_golden_file_is_blessed_whole_or_not_at_all(tmp_path, monkeypatch):
     code, _, err = run(["js", "--n", "1", "--d", "1", "--golden",
                         str(tmp_path / "g.txt")])
     assert code == 3 and "disk full" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("where", ["absent/g.txt", "."])
+def test_unusable_golden_path_exits_2(tmp_path, where):
+    """A golden path in a missing directory, or one naming a directory."""
+    golden = tmp_path / where
+    code, out, err = run(["js", "--n", "1", "--d", "1", "--golden", str(golden)])
+    assert (code, out) == (2, "(1)/(l3)\n")
+    assert f"golden file {golden} cannot be used" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -320,6 +334,17 @@ def test_verify_checkpoint_resumes_after_torn_last_line(tmp_path):
     assert code == 2 and "line 3" in err
 
 
+@pytest.mark.parametrize("where", ["absent/rows.jsonl", "."])
+def test_unusable_checkpoint_path_exits_2(tmp_path, where):
+    """A checkpoint path in a missing directory, or one naming a directory."""
+    ck = tmp_path / where
+    code, out, err = run(["verify", "--d-max", "1", "--ratio-max", "1",
+                          "--checkpoint", str(ck)])
+    assert (code, out) == (2, "")
+    assert f"checkpoint {ck} cannot be used" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- residues ------------------------------------------------------------------------
 
 
@@ -337,6 +362,16 @@ def test_residues_json_report():
     assert rep["ok"] is True and rep["phi_is_zero"] is True
     assert [row["m"] for row in rep["poles"]] == [-1, 0, 1]
     assert all(row["residue"] == "0" and row["ok"] for row in rep["poles"])
+
+
+def test_residues_pinned_text_and_json():
+    """Text and JSON reports for d = 1..12, as the commit before the
+    gcd-free certificate printed them."""
+    with open(FIXTURES / "pinned_residues.json", encoding="utf-8") as handle:
+        pinned = json.load(handle)
+    assert len(pinned) == 24
+    for case in pinned:
+        assert run(case["argv"])[:2] == (0, case["stdout"]), case["argv"]
 
 
 def test_residues_rejects_nonpositive_degree():
@@ -482,6 +517,26 @@ def test_series_rejects_bad_class_tables(tmp_path, table, named):
                              + argv_tail[1:])
         assert (code, out) == (2, ""), (table, argv_tail)
         assert named in err
+
+
+@pytest.mark.parametrize("shape, named", [
+    ({"rank": 1.7, "omega": [1]}, "rank"),
+    ({"rank": True, "omega": [1]}, "rank"),
+    ({"rank": "1", "omega": [1]}, "rank"),
+    ({"rank": 1, "omega": [1.9]}, "omega"),
+    ({"rank": 1, "omega": [True]}, "omega"),
+    ({"rank": 1, "omega": "1"}, "omega"),
+])
+def test_series_rejects_rank_and_omega_that_are_not_integers(tmp_path, shape, named):
+    f = tmp_path / "table.json"
+    f.write_text(json.dumps({**shape, "n0": {"[1]": "1"}}))
+    for argv_tail in (["pt", "--n-max", "1", "--t", "inf"],
+                      ["wallcheck", "--t0", "1", "--n-max", "1"],
+                      ["gvinvert"]):
+        code, out, err = run(["series", argv_tail[0], "--gv-file", str(f)]
+                             + argv_tail[1:])
+        assert (code, out) == (2, ""), (shape, argv_tail)
+        assert f"{named} must be" in err
 
 
 @pytest.mark.parametrize("command, name", [

@@ -33,6 +33,7 @@ from stablepairs.localcurve import (
     residue_vanishing_check,
     verify_conjecture,
     _residue_summand,
+    _residue_term,
     _worker_count,
 )
 from stablepairs.ratfun import Poly, RatFun, ratfun_str, residue_at
@@ -324,6 +325,37 @@ def test_residue_summands_frozen_at_first_pole():
         residue_at(_residue_summand(2 - d1, d1), 1).as_fraction() for d1 in range(3)
     ]
     assert values == [Fraction(0), Fraction(-1, 2), Fraction(1, 2)]
+
+
+def test_residue_summands_equal_the_reduced_generic_fraction():
+    """The summand built from its factor list, with no gcd, is the RatFun
+    that generic reduction of (-1)^d1/(d0! d1!) * (l0 + d0 - d1) /
+    prod_{j=-d1}^{d0} (l0 + j) gives."""
+    one = Poly.one(4)
+    for d in range(1, 7):
+        for d1 in range(d + 1):
+            d0 = d - d1
+            num = (L[0] + one * (d0 - d1)) * Fraction(
+                (-1) ** d1, math.factorial(d0) * math.factorial(d1))
+            den = one
+            for j in range(-d1, d0 + 1):
+                den = den * (L[0] + one * j)
+            assert _residue_summand(d0, d1) == RatFun(num, den), (d0, d1)
+
+
+def test_residue_certificate_fails_on_a_doubled_summand(monkeypatch):
+    """Both fast checks, the residue totals and the packed Phi sum, still
+    see a wrong summand."""
+    def doubled(d0, d1):
+        term = _residue_term(d0, d1)
+        return term.times_scalar(2) if d1 == 0 else term
+
+    monkeypatch.setattr("stablepairs.localcurve._residue_term", doubled)
+    for d in (1, 3, 6):
+        report = residue_vanishing_check(d)
+        assert report["ok"] is False
+        assert report["phi_is_zero"] is False
+        assert any(row["residue"] != "0" for row in report["poles"])
 
 
 def test_residue_vanishing_certificate():

@@ -276,6 +276,107 @@ def test_residue_in_other_variable():
     assert residue_at(f, 4, var=3) == RatFun(L0)
 
 
+def reference_residue_at(f, pole, var=0):
+    """The route residue_at took before its split-Horner form: the pole
+    order from Poly.subs and exact synthetic division of Poly coefficients,
+    then substitution into the numerator and the cofactor."""
+    pole = Fraction(pole)
+    den, order = f.den, 0
+    while den.subs({var: pole}).is_zero():
+        degree = den.degree_in(var)
+        coeffs = [den.coeff_in(var, power) for power in range(degree + 1)]
+        quotient = Poly(den.arity)
+        carry = coeffs[degree]
+        for power in range(degree - 1, -1, -1):
+            quotient = quotient + carry.shift_var(var, power)
+            carry = coeffs[power] + carry.scale(pole)
+        assert carry.is_zero()
+        den, order = quotient, order + 1
+    if order == 0:
+        return RatFun.zero(f.arity)
+    if order >= 2:
+        raise PoleOrderError(f"pole of order {order}")
+    return RatFun(f.num.subs({var: pole}), den.subs({var: pole}))
+
+
+def random_pole(rng):
+    """An integer, or a rational that is not one."""
+    if rng.random() < 0.5:
+        return Fraction(rng.randint(-3, 3))
+    q = rng.randint(2, 4)
+    return Fraction(rng.choice([k for k in range(-7, 8) if k % q]), q)
+
+
+def random_small_poly(rng, arity, max_terms=2, max_deg=2, max_c=3):
+    p = Poly.zero(arity)
+    for _ in range(rng.randint(0, max_terms)):
+        mono = tuple(rng.randint(0, max_deg) for _ in range(arity))
+        p = p + Poly(arity, {mono: Fraction(rng.randint(-max_c, max_c), rng.randint(1, max_c))})
+    return p
+
+
+def linear_factor(var, arity, pole):
+    """q*l_var - p for pole = p/q: integer coefficients, zero at pole."""
+    return (Poly.variable(var, arity) * pole.denominator
+            - Poly.constant(pole.numerator, arity))
+
+
+def test_residue_at_matches_reference_on_random_ratfuns():
+    """Arity 1-4, the first and the last variable, poles of order 0, 1 and
+    2 at integer and non-integer points, with spectator variables in the
+    numerator and the cofactor."""
+    rng = random.Random(20261018)
+    orders = {0: 0, 1: 0, 2: 0}
+    for trial in range(160):
+        arity = trial % 4 + 1
+        var = rng.choice(sorted({0, arity - 1}))
+        pole, order = random_pole(rng), trial % 3
+        other = random_pole(rng)
+        den = linear_factor(var, arity, pole) ** order * linear_factor(var, arity, other)
+        cofactor = random_small_poly(rng, arity, max_deg=1)
+        if not cofactor.is_zero():
+            den = den * cofactor
+        f = RatFun(random_small_poly(rng, arity) + Poly.one(arity), den)
+        for point in (pole, other, Fraction(rng.randint(-4, 4))):
+            try:
+                expected = reference_residue_at(f, point, var)
+            except PoleOrderError:
+                with pytest.raises(PoleOrderError):
+                    residue_at(f, point, var)
+                orders[2] += 1
+                continue
+            assert residue_at(f, point, var) == expected, (f, point, var)
+            orders[int(not expected.is_zero())] += 1
+    # every kind of point was reached
+    assert min(orders.values()) >= 20, orders
+
+
+def test_residue_at_matches_sympy_on_univariate_ratfuns():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def to_sympy(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * x ** m[0]
+                   for m, c in p.coeffs.items())
+
+    rng = random.Random(7)
+    for _ in range(6):  # sympy.residue takes 0.02-0.5 s a call
+        poles = list({random_pole(rng) for _ in range(rng.randint(1, 3))})
+        factors = [linear_factor(0, 1, pole) for pole in poles]
+        if rng.random() < 0.3:
+            factors.append(Poly.variable(0, 1) ** 2 + Poly.one(1))
+        num = random_small_poly(rng, 1, max_terms=3, max_deg=3) + Poly.one(1)
+        den = Poly.one(1)
+        for factor in factors:
+            den = den * factor
+        f = RatFun(num, den)
+        expr = to_sympy(num) / sympy.Mul(*map(to_sympy, factors))
+        for point in poles:
+            expected = sympy.residue(expr, x, sympy.Rational(point.numerator, point.denominator))
+            got = residue_at(f, point).as_fraction()
+            assert got == Fraction(int(expected.p), int(expected.q)), (f, point)
+
+
 # -- factored products and sums -------------------------------------------------------
 
 
