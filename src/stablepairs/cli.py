@@ -190,15 +190,25 @@ def cmd_js(args):
 
 
 def _checked_row(row):
-    """The row, once its value is canonical text and its status the one that
-    value earns; ValueError otherwise."""
+    """The row, once it reads, as JSON text, as the row a fresh run would
+    write with its value; ValueError otherwise."""
+    n, d, count = row["n"], row["d"], row["fixed_point_count"]
+    if type(n) is not int or type(d) is not int or d < 1 or n < d or n % d:
+        raise ValueError(f"n={n!r}, d={d!r} is not a row of the sweep")
+    # C(n/d + d - 1, d) >= 2^min(d, n/d - 1): refuse a shorter count before
+    # forged huge n and d make the binomial itself slow to build
+    if type(count) is not int or min(d, n // d - 1) > count.bit_length():
+        raise ValueError(f"fixed_point_count {count!r} is not C({n // d + d - 1}, {d})")
     value = ratfun_parse(row["value"], ARITY)
-    if ratfun_str(value) != row["value"]:
-        raise ValueError(f"value {row['value']!r} is not canonical")
-    expected = expected_conjecture_value(row["n"], row["d"])
-    status = "match" if value == expected else "counterexample"
-    if row["conjecture_status"] != status:
-        raise ValueError(f"status {row['conjecture_status']!r} should be {status!r}")
+    fresh = {
+        "n": n, "d": d, "geometry": list(GEOM_STANDARD.degrees), "value": ratfun_str(value),
+        "fixed_point_count": math.comb(n // d + d - 1, d), "elapsed_ms": 0,
+        "conjecture_status":
+            "match" if value == expected_conjecture_value(n, d) else "counterexample",
+    }
+    # as JSON text, 1.0 and false do not pass for 1 and 0
+    if json.dumps(row, sort_keys=True) != json.dumps(fresh, sort_keys=True):
+        raise ValueError(f"the row should read {json.dumps(fresh, sort_keys=True)}")
     return row
 
 
@@ -208,10 +218,10 @@ def _load_checkpoint(path):
     data = path.read_bytes() if path.exists() else b""
     complete = data[: data.rfind(b"\n") + 1]
     rows_done = {}
-    for number, line in enumerate(complete.decode("utf-8").splitlines(), 1):
+    for number, line in enumerate(complete.splitlines(), 1):
         try:
             if line.strip():
-                row = _checked_row(json.loads(line))
+                row = _checked_row(json.loads(line.decode("utf-8")))
                 rows_done[(row["n"], row["d"])] = row
         except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(f"line {number} is malformed: {exc!r}") from exc

@@ -9,18 +9,22 @@ stability parameter t is the coefficient formula
                    with omega . beta_i > 1/t for i >= 1,
                    of P(0, beta_0) * prod_i n_0(beta_i)        (ordered tuples)
 
-and the associated generating series factors into a degree-zero part times one
-exponential factor per active class:
+and the associated generating series is a degree-zero part times one
+exponential:
 
-    PT^t = (sum_beta P(0,beta) q^beta) * prod_{active beta} exp(y q^beta)^{n_0(beta)}.
+    PT^t = (sum_beta P(0,beta) q^beta) * exp(y sum_{active beta} n_0(beta) q^beta).
 
-Everything is truncated exactly: y-degree at most N, class degree at most D,
-all coefficients Fractions.  Wall behaviour, the finite jump formulas, the
-simple-wall criterion, the no-wall predicate, and the genus-zero/one
-Gromov-Witten conversions all live here.
+The wall factor at t0 is the same exponential over the classes on the wall,
+and a degree-zero part synthesized from genus-one data is the exponential of
+its log series.  Everything is truncated exactly (y-degree at most N, class
+degree at most D, all coefficients Fractions); the truncation is an ideal, so
+exp(a + b) = exp(a) exp(b) holds coefficient by coefficient.  Wall behaviour,
+the finite jump formulas, the simple-wall criterion, the no-wall predicate,
+and the genus-zero/one Gromov-Witten conversions all live here.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -63,7 +67,16 @@ def frac_str(x):
 
 
 def parse_frac(text):
-    return Fraction(str(text))
+    """An exact rational from an integer, ``p/q`` or plain decimal; ValueError
+    otherwise.  Exponent notation is refused: ``Fraction`` would build a
+    number such as 1e999999999 digit by digit."""
+    text = str(text)
+    if "e" in text.lower():
+        raise ValueError(f"{text!r} uses exponent notation; write an integer, p/q or a decimal")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
 
 
 def _beta_key(beta):
@@ -84,13 +97,20 @@ def _parse_beta(key, rank):
     return tuple(values)
 
 
+def _parse_value(name, key, text):
+    try:
+        return parse_frac(text)
+    except ValueError as exc:
+        raise ValueError(f"{name} value for key {key!r}: {exc}") from None
+
+
 def _parse_class_table(name, raw, rank):
     """{class: Fraction} from the JSON table ``name``.  Only p0 may hold the
     zero class; nmin values must be integers."""
     table = {}
     for key, text in raw.items():
         beta = _parse_beta(key, rank)
-        value = parse_frac(text)
+        value = _parse_value(name, key, text)
         if not any(beta) and name != "p0":
             raise ValueError(f"{name} key {key!r} is the zero class")
         if name == "nmin" and value.denominator != 1:
@@ -109,7 +129,7 @@ def _parse_meeting(raw, rank):
         pair = (_parse_beta(left, rank), _parse_beta(right, rank))
         if not all(map(any, pair)):
             raise ValueError(f"meeting key {key!r} holds the zero class")
-        meeting[pair] = parse_frac(text)
+        meeting[pair] = _parse_value("meeting", key, text)
     return meeting
 
 
@@ -172,37 +192,21 @@ class ClassLattice:
     def classes(self):
         """All effective classes of degree <= dmax (zero included), sorted by
         (degree, tuple)."""
-        out = []
-
-        def rec(prefix, i):
-            if i == self.rank:
-                out.append(tuple(prefix))
-                return
-            bound = (self.dmax - self.deg(tuple(prefix) + (0,) * (self.rank - i))) // self.omega[i]
-            for b in range(bound + 1):
-                rec(prefix + [b], i + 1)
-
-        rec([], 0)
-        return sorted(out, key=lambda b: (self.deg(b), b))
+        box = itertools.product(*(range(self.dmax // w + 1) for w in self.omega))
+        return sorted(
+            (b for b in box if self.deg(b) <= self.dmax), key=lambda b: (self.deg(b), b)
+        )
 
     def positive_classes(self):
         return [b for b in self.classes() if any(b)]
 
     def sub_classes(self, beta):
         """Classes 0 < beta' < beta (componentwise, both ends strict)."""
-        out = []
-
-        def rec(prefix, i):
-            if i == self.rank:
-                t = tuple(prefix)
-                if any(t) and t != tuple(beta):
-                    out.append(t)
-                return
-            for b in range(beta[i] + 1):
-                rec(prefix + [b], i + 1)
-
-        rec([], 0)
-        return sorted(out, key=lambda b: (self.deg(b), b))
+        beta = tuple(beta)
+        box = itertools.product(*(range(b + 1) for b in beta))
+        return sorted(
+            (b for b in box if any(b) and b != beta), key=lambda b: (self.deg(b), b)
+        )
 
 
 def _sub(beta, gamma):
@@ -217,14 +221,19 @@ def _is_effective(beta):
     return all(b >= 0 for b in beta)
 
 
-def _scale_beta(beta, m):
-    return tuple(m * b for b in beta)
-
-
 def _divide_beta(beta, m):
     if all(b % m == 0 for b in beta):
         return tuple(b // m for b in beta)
     return None
+
+
+def _multiple_covers(beta, lattice, table):
+    """(k, k*beta) for k = 1, 2, ... while deg(k*beta) <= dmax.  A class of
+    degree zero, which has no finite cover list, is refused naming ``table``."""
+    d = lattice.deg(beta)
+    if d == 0:
+        raise ValueError(f"{table} table contains the zero class")
+    return [(k, tuple(k * b for b in beta)) for k in range(1, lattice.dmax // d + 1)]
 
 
 # -- invariant tables -------------------------------------------------------------
@@ -274,31 +283,18 @@ class GVTable:
         return self._synthesized_p0().get(beta, Fraction(0))
 
     def _synthesized_p0(self):
+        """exp of the log series sum_beta n1(beta) sum_k logM_k q^(k beta)."""
         if self._p0_cache is None:
             lat = self.lattice
             logm = log_macmahon(lat.dmax)
             log_series = {}
             for beta, mult in sorted(self.n1.items()):
-                d = lat.deg(beta)
-                if d == 0:
-                    raise ValueError("n1 table contains the zero class")
-                k = 1
-                while k * d <= lat.dmax:
-                    key = _scale_beta(beta, k)
+                for k, gamma in _multiple_covers(beta, lat, "n1"):
+                    key = (0, gamma)
                     log_series[key] = log_series.get(key, Fraction(0)) + mult * logm[k]
-                    k += 1
-            series = _exp_q_series(log_series, lat)
-            self._p0_cache = series
+            p0 = _exp(TruncatedSeries(lat, 0, log_series))
+            self._p0_cache = {beta: c for (_, beta), c in p0.coeffs.items()}
         return self._p0_cache
-
-    def p0_series(self):
-        """All degree-zero counts as a dict over the lattice classes."""
-        out = {}
-        for beta in self.lattice.classes():
-            v = self.p0_value(beta)
-            if v:
-                out[beta] = v
-        return out
 
     # -- JSON ----------------------------------------------------------------------
 
@@ -459,15 +455,8 @@ class TruncatedSeries:
     def __add__(self, other):
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + c
         return TruncatedSeries(self.lattice, self.nmax, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
     def scale(self, factor):
         factor = Fraction(factor)
@@ -487,34 +476,21 @@ class TruncatedSeries:
                 if d1 + self.lattice.deg(b2) > dmax:
                     continue
                 key = (n, _add(b1, b2))
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, 0) + c1 * c2
         return TruncatedSeries(self.lattice, self.nmax, out)
 
 
-def _exp_q_series(log_coeffs, lattice):
-    """exp of a pure-q series with no constant term, as a dict beta -> Fraction."""
-    total = {lattice.zero(): Fraction(1)}
-    term = {lattice.zero(): Fraction(1)}
-    j = 1
-    while True:
-        nxt = {}
-        for b1, c1 in term.items():
-            for b2, c2 in log_coeffs.items():
-                b = _add(b1, b2)
-                if lattice.deg(b) > lattice.dmax:
-                    continue
-                nxt[b] = nxt.get(b, Fraction(0)) + c1 * c2
-        term = {b: c / j for b, c in nxt.items() if c}
-        if not term:
-            break
-        for b, c in term.items():
-            total[b] = total.get(b, Fraction(0)) + c
-        j += 1
-    return {b: c for b, c in total.items() if c}
+def _exp(series):
+    """exp(series) = sum_k series^k / k! for a series without a constant
+    term.  Each power raises the y-degree or the class degree, so the
+    truncation ends the sum; once a power is zero every later one is."""
+    total = term = TruncatedSeries.one(series.lattice, series.nmax)
+    k = 0
+    while term.coeffs:
+        k += 1
+        term = (term * series).scale(Fraction(1, k))
+        total = total + term
+    return total
 
 
 # -- MacMahon ---------------------------------------------------------------------
@@ -576,41 +552,24 @@ def pt_coeff_from_gv(t, n, beta, gv, memo=None):
     return value
 
 
-def _exp_factor(lattice, nmax, beta, mult):
-    """exp(y q^beta)^mult truncated: sum_k mult^k y^k q^(k beta) / k!."""
-    coeffs = {}
-    d = lattice.deg(beta)
-    k = 0
-    while k <= nmax and k * d <= lattice.dmax:
-        coeffs[(k, _scale_beta(beta, k))] = Fraction(mult) ** k / math.factorial(k)
-        k += 1
-    return TruncatedSeries(lattice, nmax, coeffs)
-
-
 def pt_series_from_gv(t, gv, nmax):
-    """The chamber generating series: degree-zero part times one exponential
-    factor per active stored class."""
+    """The chamber generating series P0 * exp(y sum n0(beta) q^beta), the sum
+    over the stored classes that t admits (asked in sorted class order)."""
     lattice = gv.lattice
-    p0 = TruncatedSeries(
-        lattice, nmax, {(0, b): v for b, v in gv.p0_series().items()}
-    )
-    series = p0
-    for beta, mult in sorted(gv.n0.items()):
-        if t.admits(lattice.deg(beta)):
-            series = series * _exp_factor(lattice, nmax, beta, mult)
-    return series
+    p0 = TruncatedSeries(lattice, nmax, {(0, b): gv.p0_value(b) for b in lattice.classes()})
+    active = {
+        (1, beta): mult
+        for beta, mult in sorted(gv.n0.items())
+        if t.admits(lattice.deg(beta))
+    }
+    return p0 * _exp(TruncatedSeries(lattice, nmax, active))
 
 
 def wall_factor_series(t0, gv, nmax):
-    """Product of exponential factors of the stored classes on the wall
+    """exp(y sum n0(beta) q^beta) over the stored classes on the wall
     deg == 1/t0."""
-    t0 = Fraction(t0)
-    lattice = gv.lattice
-    series = TruncatedSeries.one(lattice, nmax)
-    for beta, mult in sorted(gv.n0.items()):
-        if lattice.deg(beta) == 1 / t0:
-            series = series * _exp_factor(lattice, nmax, beta, mult)
-    return series
+    on_wall = {(1, beta): gv.n0[beta] for beta in wall_classes(t0, gv)}
+    return _exp(TruncatedSeries(gv.lattice, nmax, on_wall))
 
 
 def wall_classes(t0, gv):
@@ -680,21 +639,19 @@ def wall_jump_check(t0, gv, nmax):
             id_wcf = Fraction(0)
             active_k1 = 0
             higher_terms_vanish = True
-            for k in range(1, n + 1):
-                scale = Fraction(math.factorial(n), math.factorial(n - k))
-                for (kk, b2), w in wall.coeffs.items():
-                    if kk != k:
-                        continue
-                    rest = _sub(beta, b2)
-                    if not _is_effective(rest):
-                        continue
-                    term = w * pt_coeff_from_gv(minus, n - k, rest, gv, memo_minus)
-                    id_wcf += scale * term
-                    if term:
-                        if k == 1:
-                            active_k1 += 1
-                        else:
-                            higher_terms_vanish = False
+            for (k, b2), w in wall.coeffs.items():
+                if k == 0 or k > n:
+                    continue
+                rest = _sub(beta, b2)
+                if not _is_effective(rest):
+                    continue
+                term = w * pt_coeff_from_gv(minus, n - k, rest, gv, memo_minus)
+                id_wcf += math.perm(n, k) * term
+                if term:
+                    if k == 1:
+                        active_k1 += 1
+                    else:
+                        higher_terms_vanish = False
             mspace = Fraction(0)
             for b2 in classes_on_wall:
                 rest = _sub(beta, b2)
@@ -760,29 +717,27 @@ def wall_candidates(beta, n, nmin, lattice):
 # -- Gromov-Witten conversions -----------------------------------------------------------
 
 
+def _cover_sum(beta, n0, first):
+    """sum over k >= first with beta/k a class of n0 of n0(beta/k) / k^2."""
+    total = Fraction(0)
+    for k in range(first, max(beta) + 1):
+        base = _divide_beta(beta, k)
+        if base is not None and base in n0:
+            total += Fraction(n0[base], k**2)
+    return total
+
+
 def gw0_from_gv0(n0, lattice):
     """Genus-zero multiple-cover sum: GW(0, beta) = sum_{k | beta} n0(beta/k) / k^2."""
-    out = {}
-    for beta in lattice.positive_classes():
-        total = Fraction(0)
-        for k in range(1, lattice.deg(beta) + 1):
-            base = _divide_beta(beta, k)
-            if base is not None and base in n0:
-                total += Fraction(n0[base], k**2)
-        if total:
-            out[beta] = total
-    return out
+    out = {beta: _cover_sum(beta, n0, 1) for beta in lattice.positive_classes()}
+    return {beta: v for beta, v in out.items() if v}
 
 
 def gv0_from_gw(gw0, lattice):
     """Triangular inversion of the genus-zero multiple-cover sum."""
     n0 = {}
     for beta in lattice.positive_classes():
-        total = Fraction(gw0.get(beta, 0))
-        for k in range(2, lattice.deg(beta) + 1):
-            base = _divide_beta(beta, k)
-            if base is not None and base in n0:
-                total -= Fraction(n0[base], k**2)
+        total = Fraction(gw0.get(beta, 0)) - _cover_sum(beta, n0, 2)
         if total:
             n0[beta] = total
     return n0
@@ -801,33 +756,16 @@ def gw1_assemble(n1, n0_c2, meeting, lattice):
     """
     out = {}
 
-    def bump(gamma, value):
-        if lattice.deg(gamma) > lattice.dmax or not value:
-            return
-        out[gamma] = out.get(gamma, Fraction(0)) + value
+    def bump(table, beta, weight):
+        for k, gamma in _multiple_covers(beta, lattice, table):
+            out[gamma] = out.get(gamma, Fraction(0)) + weight(k)
 
     for beta, v in sorted(n1.items()):
-        if lattice.deg(beta) == 0:
-            raise ValueError("n1 table contains the zero class")
-        d = 1
-        while d * lattice.deg(beta) <= lattice.dmax:
-            bump(_scale_beta(beta, d), v * Fraction(_sigma(d), d))
-            d += 1
+        bump("n1", beta, lambda d: v * Fraction(_sigma(d), d))
     for beta, v in sorted((n0_c2 or {}).items()):
-        if lattice.deg(beta) == 0:
-            raise ValueError("n0_c2 table contains the zero class")
-        k = 1
-        while k * lattice.deg(beta) <= lattice.dmax:
-            bump(_scale_beta(beta, k), -v / Fraction(24 * k))
-            k += 1
+        bump("n0_c2", beta, lambda k: -v / Fraction(24 * k))
     for (b1, b2), v in sorted((meeting or {}).items()):
-        s = _add(b1, b2)
-        if lattice.deg(s) == 0:
-            raise ValueError("meeting table contains a degree-zero pair")
-        k = 1
-        while k * lattice.deg(s) <= lattice.dmax:
-            bump(_scale_beta(s, k), v / Fraction(24 * k))
-            k += 1
+        bump("meeting", _add(b1, b2), lambda k: v / Fraction(24 * k))
     return {b: v for b, v in out.items() if v}
 
 

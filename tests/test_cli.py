@@ -8,6 +8,7 @@ golden file or a failed identity, 2 usage/input error, 3 internal error.
 
 import io
 import json
+import time
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
 
@@ -295,25 +296,69 @@ def test_verify_checkpoint_resume(tmp_path):
     assert resumed[:4] == lines[:4]
 
 
+FRESH_ROW_1_1 = {"n": 1, "d": 1, "geometry": [-1, -1, 0], "value": "(1)/(l3)",
+                 "fixed_point_count": 1, "elapsed_ms": 0, "conjecture_status": "match"}
+DROP = "<drop this key>"
+
+
 @pytest.mark.parametrize("row", [
-    {"value": "garbage", "conjecture_status": "match"},
-    {"value": "(2/2)/(l3)", "conjecture_status": "match"},
-    {"value": "(1)/(l3^2)", "conjecture_status": "match"},
-    {"value": "(1)/(l3)", "conjecture_status": "counterexample"},
-    {"value": "(1)/(0)", "conjecture_status": "match"},
-    {"value": 7, "conjecture_status": "match"},
-    {"value": "(1)/(l3)"},
+    {"value": "garbage"},
+    {"value": "(2/2)/(l3)"},
+    {"value": "(1)/(l3^2)"},
+    {"conjecture_status": "counterexample"},
+    {"value": "(1)/(0)"},
+    {"value": 7},
+    {"conjecture_status": DROP},
+    {"n": True, "d": True},
+    {"n": 1.0},
+    {"d": "1"},
+    {"n": 0, "d": 0},
+    {"n": 3, "d": 2},
+    {"fixed_point_count": 999},
+    {"fixed_point_count": 1.0},
+    {"elapsed_ms": 12345},
+    {"elapsed_ms": False},
+    {"geometry": [7, 7, 7]},
+    {"geometry": [-1.0, -1, 0]},
+    {"extra": "x"},
+    {"fixed_point_count": 999, "elapsed_ms": 12345, "geometry": [7, 7, 7], "extra": "x"},
 ])
 def test_verify_checkpoint_rechecks_loaded_rows(tmp_path, row):
     ck = tmp_path / "rows.jsonl"
-    good = {"n": 2, "d": 1, "value": "0", "conjecture_status": "match"}
-    ck.write_text(json.dumps(good) + "\n" + json.dumps({"n": 1, "d": 1, **row}) + "\n")
+    good = {**FRESH_ROW_1_1, "n": 2, "value": "0", "fixed_point_count": 2}
+    bad = {key: value for key, value in {**FRESH_ROW_1_1, **row}.items() if value != DROP}
+    ck.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
     before = ck.read_text()
     code, out, err = run(["verify", "--d-max", "1", "--ratio-max", "1",
                           "--checkpoint", str(ck)])
     assert (code, out) == (2, "")
     assert "line 2" in err
     assert ck.read_text() == before
+
+
+def test_verify_checkpoint_refuses_forged_huge_rows_quickly(tmp_path):
+    """C(1999999, 10^6), some 40 s to build, is never built: a count with
+    fewer bits than the binomial's lower bound 2^min(d, n/d - 1) is refused
+    first."""
+    ck = tmp_path / "rows.jsonl"
+    for count in (1, 10**4000):
+        ck.write_text(json.dumps({**FRESH_ROW_1_1, "n": 10**12, "d": 10**6, "value": "0",
+                                  "fixed_point_count": count}) + "\n")
+        start = time.monotonic()
+        code, out, err = run(["verify", "--d-max", "1", "--ratio-max", "1",
+                              "--checkpoint", str(ck)])
+        assert (code, out) == (2, "") and "line 1" in err
+        assert time.monotonic() - start < 2
+
+
+def test_verify_checkpoint_accepts_a_fresh_row(tmp_path):
+    """The base of the rejected rows above is itself accepted, so each of
+    them is rejected for the field it changes."""
+    ck = tmp_path / "rows.jsonl"
+    ck.write_text(json.dumps(FRESH_ROW_1_1) + "\n")
+    argv = ["verify", "--d-max", "1", "--ratio-max", "1", "--format", "json"]
+    assert run(argv + ["--checkpoint", str(ck)]) == run(argv)
+    assert ck.read_text() == json.dumps(FRESH_ROW_1_1) + "\n"
 
 
 def test_verify_checkpoint_resumes_after_torn_last_line(tmp_path):
@@ -519,6 +564,40 @@ def test_series_rejects_bad_class_tables(tmp_path, table, named):
         assert named in err
 
 
+@pytest.mark.parametrize("value", ["1e5000", "1e999999999", "2.5E-3", "1/0"])
+@pytest.mark.parametrize("command, table, key", [
+    (["pt", "--n-max", "1", "--t", "inf"], "n0", "'[1]'"),
+    (["wallcheck", "--t0", "1", "--n-max", "1"], "p0", "'[1]'"),
+    (["gvinvert"], "gw1", "'[1]'"),
+    (["gvinvert"], "meeting", "'[1]|[1]'"),
+])
+def test_series_rejects_exponents_and_zero_denominators(tmp_path, command, table, key, value):
+    """Exponent notation is refused before Fraction builds the number (which
+    hung on 1e999999999 and overflowed the printer on 1e5000)."""
+    f = tmp_path / "table.json"
+    f.write_text(json.dumps({"rank": 1, "omega": [1], table: {key.strip("'"): value}}))
+    start = time.monotonic()
+    code, out, err = run(["series", command[0], "--gv-file", str(f)] + command[1:])
+    assert (code, out) == (2, "")
+    assert f"{table} value for key {key}" in err and repr(value) in err
+    assert time.monotonic() - start < 1
+
+
+@pytest.mark.parametrize("argv_tail", [
+    ["pt", "--n-max", "1", "--t", "1e999999999"],
+    ["pt", "--n-max", "1", "--t", "1/0"],
+    ["wallcheck", "--n-max", "1", "--t0", "1e5000"],
+    ["wallcheck", "--n-max", "1", "--t0", "1/0"],
+])
+def test_series_rejects_exponent_and_zero_denominator_parameters(tmp_path, argv_tail):
+    p2 = write_local_p2(tmp_path / "p2.json")
+    start = time.monotonic()
+    code, out, err = run(["series", argv_tail[0], "--gv-file", str(p2)] + argv_tail[1:])
+    assert (code, out) == (2, "")
+    assert repr(argv_tail[-1]) in err
+    assert time.monotonic() - start < 1
+
+
 @pytest.mark.parametrize("shape, named", [
     ({"rank": 1.7, "omega": [1]}, "rank"),
     ({"rank": True, "omega": [1]}, "rank"),
@@ -561,6 +640,21 @@ def test_series_gvinvert_rejects_bad_class_keys(tmp_path):
         f.write_text(json.dumps({"rank": 1, "omega": [1], **table}))
         code, _, err = run(["series", "gvinvert", "--gv-file", str(f)])
         assert code == 2 and "key" in err, table
+
+
+def test_series_pinned_output(tmp_path):
+    """Every output of series pt, wallcheck and gvinvert on the local plane
+    and seeded rank-2 tables, as the commit before the single-exponential
+    series printed it."""
+    with open(FIXTURES / "pinned_series.json", encoding="utf-8") as handle:
+        pinned = json.load(handle)
+    assert len(pinned["cases"]) == 38
+    for name, table in pinned["tables"].items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(table))
+    for case in pinned["cases"]:
+        argv = case["argv"][:2] + ["--gv-file", str(tmp_path / f"{case['table']}.json")]
+        result = run(argv + case["argv"][2:])
+        assert result == (case["code"], case["stdout"], case["stderr"]), case["argv"]
 
 
 def test_series_missing_gv_file_exits_2(tmp_path):

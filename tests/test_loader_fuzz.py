@@ -1,17 +1,24 @@
 """Fuzzing of the JSON class-table reader shared by ``GVTable.from_json`` and
-the ``series gvinvert`` loader.
+the ``series gvinvert`` loader, and of the ``verify`` checkpoint loader.
 
-The CLI maps ValueError, KeyError and TypeError from these loaders to exit 2
-(bad input); any other exception would exit 3 as an internal error.  So every
-JSON document must either load or raise one of those three.
+The CLI maps ValueError, KeyError and TypeError from the class-table loaders
+to exit 2 (bad input); any other exception would exit 3 as an internal error.
+So every JSON document must either load or raise one of those three.  The
+checkpoint loader must load or raise a ValueError that names the line.
 """
+
+import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from stablepairs.cli import GW_TABLES  # noqa: E402
+from stablepairs.cli import GW_TABLES, _load_checkpoint  # noqa: E402
+from stablepairs.localcurve import verify_conjecture  # noqa: E402
 from stablepairs.series import GVTable, _bounded_lattice, _read_class_tables  # noqa: E402
 
 INPUT_ERRORS = (ValueError, KeyError, TypeError)
@@ -67,3 +74,47 @@ def test_well_formed_shapes_load(shape):
     rank, omega = shape
     gv = GVTable.from_json({"rank": rank, "omega": omega, "n0": {}})
     assert (gv.lattice.rank, gv.lattice.omega) == (rank, tuple(omega))
+
+
+FRESH_ROWS = verify_conjecture(3, 3)["rows"]
+# small n and d keep the fixed-point count C(n/d + d - 1, d) cheap to check
+row_fields = st.one_of(
+    scalars, st.integers(-2, 12), st.sampled_from([[-1, -1, 0], [-1.0, -1, 0], [0, -1, -1]]),
+    st.sampled_from(["(1)/(l3)", "(1/2)/(l3^2)", "(1/6)/(l3^3)", "(2)/(l3)", "0", "match",
+                     "counterexample"]),
+)
+mutated_rows = st.tuples(
+    st.sampled_from(FRESH_ROWS),
+    st.dictionaries(st.sampled_from([*FRESH_ROWS[0], "extra"]), row_fields, max_size=2),
+    st.sets(st.sampled_from(sorted(FRESH_ROWS[0])), max_size=1),
+).map(lambda parts: {key: value for key, value in {**parts[0], **parts[1]}.items()
+                     if key not in parts[2]})
+lines = st.one_of(
+    st.sampled_from(FRESH_ROWS).map(json.dumps),
+    mutated_rows.map(json.dumps),
+    json_values.map(json.dumps),
+    st.text(max_size=12),
+    st.just(""),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(lines, max_size=5), st.booleans())
+def test_checkpoint_loader_loads_or_names_a_line(text_lines, terminated):
+    text = "\n".join(text_lines) + ("\n" if terminated else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.jsonl"
+        path.write_text(text, encoding="utf-8")
+        try:
+            rows, complete = _load_checkpoint(path)
+        except ValueError as exc:
+            assert re.match(r"line \d+ is malformed", str(exc)), exc
+            return
+    assert complete == len(text[: text.rfind("\n") + 1].encode("utf-8"))
+    fresh = {(row["n"], row["d"]): row for row in FRESH_ROWS}
+    for key, row in rows.items():
+        # a loaded row is a fresh row, apart from a value and status that agree
+        if key in fresh:
+            expected = {**fresh[key], "value": row["value"],
+                        "conjecture_status": row["conjecture_status"]}
+            assert json.dumps(row, sort_keys=True) == json.dumps(expected, sort_keys=True)

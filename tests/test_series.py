@@ -30,6 +30,7 @@ from stablepairs.series import (
     wall_classes,
     wall_factor_series,
     wall_jump_check,
+    _exp,
 )
 
 LOCAL_P2_LATTICE = ClassLattice(1, (1,), 6)
@@ -449,3 +450,42 @@ def test_series_multiplication_truncates_consistently():
         small = a_cut * b_cut
         for (n, beta), value in small.coeffs.items():
             assert value == product.coefficient(n, beta), (n, beta)
+
+
+# -- the truncated exponential ------------------------------------------------------------
+
+
+def random_series_without_constant(rng, lattice, nmax):
+    coeffs = {}
+    for beta in lattice.classes():
+        for n in range(nmax + 1):
+            if (n or any(beta)) and rng.random() < 0.3:
+                coeffs[(n, beta)] = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+    return TruncatedSeries(lattice, nmax, coeffs)
+
+
+def test_exp_of_a_sum_is_the_product_of_exps():
+    rng = random.Random(307)
+    for _ in range(40):
+        lattice = random_lattice(rng, deg_hi=5)
+        nmax = rng.randint(0, 3)
+        a = random_series_without_constant(rng, lattice, nmax)
+        b = random_series_without_constant(rng, lattice, nmax)
+        assert _exp(a + b) == _exp(a) * _exp(b)
+        assert _exp(TruncatedSeries(lattice, nmax)) == TruncatedSeries.one(lattice, nmax)
+
+
+def test_exp_of_one_class_is_the_closed_form():
+    # exp(n0 y q^beta) = sum_k n0^k y^k q^(k beta) / k!, cut at k <= nmax and
+    # deg(k beta) <= dmax
+    rng = random.Random(308)
+    for _ in range(40):
+        lattice = random_lattice(rng, deg_lo=2, deg_hi=8)
+        nmax = rng.randint(0, 5)
+        beta = rng.choice(lattice.positive_classes())
+        n0 = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 5]))
+        kmax = min(nmax, lattice.dmax // lattice.deg(beta))
+        closed = {(k, tuple(k * b for b in beta)): n0**k / math.factorial(k)
+                  for k in range(kmax + 1)}
+        series = _exp(TruncatedSeries(lattice, nmax, {(1, beta): n0}))
+        assert series == TruncatedSeries(lattice, nmax, closed), (beta, n0, nmax)
