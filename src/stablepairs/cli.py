@@ -36,13 +36,14 @@ from pathlib import Path
 from .equivariant import SplitGeometry
 from .localcurve import (
     GEOM_STANDARD,
-    expected_conjecture_value,
+    conjectured_row,
     js_invariant_closed_form,
     js_invariant_enumerated,
     residue_vanishing_check,
     verify_conjecture,
+    _verify_row,
 )
-from .ratfun import ratfun_parse, ratfun_str
+from .ratfun import ratfun_str, _parse_parts
 from .series import (
     GVTable,
     TParam,
@@ -57,6 +58,7 @@ from .series import (
     pt_series_from_gv,
     wall_jump_check,
     _bounded_lattice,
+    _decode_json,
     _read_class_tables,
 )
 
@@ -67,6 +69,8 @@ EXIT_INTERNAL = 3
 
 ARITY = 4
 GW_TABLES = ("gw0", "gw1", "n0_c2")
+# what reading a class table and the parameters raises on bad input
+INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError)
 
 
 def _fail_usage(message):
@@ -118,8 +122,9 @@ def _js_report(result, timings, audit):
 def _golden_js(path, result):
     """Create or compare a golden file for the ``js`` value.
 
-    The stored form is the canonical single-line text of the invariant; the
-    comparison reparses it, so any print-equivalent file passes.
+    The stored form is the canonical single-line text of the invariant.  The
+    comparison reparses it as written and cross-multiplies, so any text of
+    the same value passes and no gcd runs.
     """
     path = Path(path)
     rendered = ratfun_str(result.value)
@@ -139,12 +144,12 @@ def _golden_js(path, result):
         return EXIT_OK
     try:
         stored = path.read_text(encoding="utf-8").strip()
-        expected = ratfun_parse(stored, ARITY)
+        num, den = _parse_parts(stored, ARITY)
     except OSError as exc:
         return _fail_path("golden file", path, exc)
     except (ValueError, ZeroDivisionError) as exc:  # not UTF-8, bad text, zero den
         return _fail_usage(f"golden file {path} does not parse: {exc}")
-    if expected != result.value:
+    if num * result.value.den != result.value.num * den:
         return _fail_mismatch(
             f"golden file {path} holds {stored}, computed {rendered}"
         )
@@ -189,41 +194,44 @@ def cmd_js(args):
 # -- verify --------------------------------------------------------------------------
 
 
-def _checked_row(row):
-    """The row, once it reads, as JSON text, as the row a fresh run would
-    write with its value; ValueError otherwise."""
-    n, d, count = row["n"], row["d"], row["fixed_point_count"]
-    if type(n) is not int or type(d) is not int or d < 1 or n < d or n % d:
-        raise ValueError(f"n={n!r}, d={d!r} is not a row of the sweep")
-    # C(n/d + d - 1, d) >= 2^min(d, n/d - 1): refuse a shorter count before
-    # forged huge n and d make the binomial itself slow to build
-    if type(count) is not int or min(d, n // d - 1) > count.bit_length():
-        raise ValueError(f"fixed_point_count {count!r} is not C({n // d + d - 1}, {d})")
-    value = ratfun_parse(row["value"], ARITY)
-    fresh = {
-        "n": n, "d": d, "geometry": list(GEOM_STANDARD.degrees), "value": ratfun_str(value),
-        "fixed_point_count": math.comb(n // d + d - 1, d), "elapsed_ms": 0,
-        "conjecture_status":
-            "match" if value == expected_conjecture_value(n, d) else "counterexample",
-    }
-    # as JSON text, 1.0 and false do not pass for 1 and 0
-    if json.dumps(row, sort_keys=True) != json.dumps(fresh, sort_keys=True):
-        raise ValueError(f"the row should read {json.dumps(fresh, sort_keys=True)}")
+def _same_row(row, expected):
+    """True when row reads as expected as JSON text, where 1.0 and false do
+    not pass for 1 and 0; a row unequal to the flat expected row is never
+    dumped, so no nesting in it reaches the encoder."""
+    return row == expected and (
+        json.dumps(row, sort_keys=True) == json.dumps(expected, sort_keys=True))
+
+
+def _checked_row(row, sweep):
+    """The row, once it is a row of the sweep and reads as the row the sweep
+    writes for its (n, d); ValueError otherwise.  The conjectured row is
+    tried first, so only a row that differs from it is recomputed."""
+    key = sweep.get((row["n"], row["d"]))
+    if key is None:
+        raise ValueError(f"n={row['n']!r}, d={row['d']!r} is not a row of this sweep")
+    if not _same_row(row, conjectured_row(*key)):
+        fresh = _verify_row(key)
+        if not _same_row(row, fresh):
+            raise ValueError(f"the row should read {json.dumps(fresh, sort_keys=True)}")
     return row
 
 
-def _load_checkpoint(path):
-    """Re-checked rows by (n, d), and the length of the file's complete lines:
-    an unterminated last line is a write torn by a crash and is dropped."""
+def _load_checkpoint(path, d_max, ratio_max):
+    """Re-checked rows of the sweep by (n, d), and the length of the file's
+    complete lines: an unterminated last line is a write torn by a crash and
+    is dropped."""
+    # each (n, d) maps to itself, so that a row's 1.0 or true finds the ints
+    sweep = {(ratio * d, d): (ratio * d, d)
+             for d in range(1, d_max + 1) for ratio in range(1, ratio_max + 1)}
     data = path.read_bytes() if path.exists() else b""
     complete = data[: data.rfind(b"\n") + 1]
     rows_done = {}
     for number, line in enumerate(complete.splitlines(), 1):
         try:
             if line.strip():
-                row = _checked_row(json.loads(line.decode("utf-8")))
+                row = _checked_row(_decode_json(line.decode("utf-8"), "the line"), sweep)
                 rows_done[(row["n"], row["d"])] = row
-        except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"line {number} is malformed: {exc!r}") from exc
     return rows_done, len(complete)
 
@@ -237,7 +245,7 @@ def cmd_verify(args):
     if args.checkpoint:
         path = Path(args.checkpoint)
         try:
-            rows_done, complete = _load_checkpoint(path)
+            rows_done, complete = _load_checkpoint(path, args.d_max, args.ratio_max)
             handle = path.open("a", encoding="utf-8")
         except ValueError as exc:
             return _fail_usage(f"checkpoint {path}: {exc}")
@@ -297,8 +305,7 @@ def cmd_residues(args):
 
 
 def _load_gv_table(path, deg_max):
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = _decode_json(Path(path).read_text(encoding="utf-8"), path)
     return GVTable.from_json(data, dmax=deg_max)
 
 
@@ -321,7 +328,7 @@ def cmd_series_pt(args):
     try:
         gv = _load_gv_table(args.gv_file, args.deg_max)
         t = _parse_t(args.t, args.side)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+    except INPUT_ERRORS as exc:
         return _fail_usage(f"cannot read inputs: {exc}")
     if args.n_max < 0:
         return _fail_usage("--n-max must be nonnegative")
@@ -370,7 +377,7 @@ def cmd_series_wallcheck(args):
         t0 = parse_frac(args.t0)
         if t0 <= 0:
             raise ValueError(f"wall location must be positive, got {t0}")
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+    except INPUT_ERRORS as exc:
         return _fail_usage(f"cannot read inputs: {exc}")
     if args.n_max < 0:
         return _fail_usage("--n-max must be nonnegative")
@@ -382,8 +389,8 @@ def cmd_series_wallcheck(args):
 def _load_gw_data(path, deg_max):
     """Lattice, gw0, gw1, n0_c2 and meeting tables; without ``deg_max`` the
     lattice also reaches the degree of every meeting pair."""
-    with open(path, encoding="utf-8") as handle:
-        rank, omega, tables = _read_class_tables(json.load(handle), GW_TABLES)
+    data = _decode_json(Path(path).read_text(encoding="utf-8"), path)
+    rank, omega, tables = _read_class_tables(data, GW_TABLES)
     tables = {name: table or {} for name, table in tables.items()}
     classes = [beta for name in GW_TABLES for beta in tables[name]]
     classes += [tuple(a + b for a, b in zip(*pair)) for pair in tables["meeting"]]
@@ -396,7 +403,7 @@ def cmd_series_gvinvert(args):
         lattice, gw0, gw1, n0_c2, meeting = _load_gw_data(
             args.gv_file, args.deg_max
         )
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+    except INPUT_ERRORS as exc:
         return _fail_usage(f"cannot read inputs: {exc}")
 
     n0 = gv0_from_gw(gw0, lattice)

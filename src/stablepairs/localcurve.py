@@ -56,6 +56,7 @@ __all__ = [
     "js_invariant_enumerated",
     "js_invariant_closed_form",
     "expected_conjecture_value",
+    "conjectured_row",
     "verify_conjecture",
     "residue_vanishing_check",
     "is_homogeneous_of_degree",
@@ -387,8 +388,14 @@ def expected_conjecture_value(n, d):
     n = d, else zero."""
     if n == d and d >= 0:
         num = Poly.constant(Fraction(1, math.factorial(d)), 4)
-        return RatFun(num, Poly.variable(3, 4) ** d)
+        return RatFun._trusted(num, Poly.variable(3, 4) ** d)
     return RatFun.zero()
+
+
+def conjectured_row(n, d):
+    """The row verify_conjecture writes for (n, d), d | n, at the conjectured value."""
+    return InvariantResult(n, d, GEOM_STANDARD.degrees, expected_conjecture_value(n, d),
+                           math.comb(n // d + d - 1, d)).to_report()
 
 
 def _ms_since(start):

@@ -25,6 +25,8 @@ multiplications.  The radix comes from a rigorous coefficient bound, the sum
 of |scalar| * prod(||form||_1 ** lift), so the balanced base-X digits of the
 packed sum are exactly its coefficients.  The result is then reduced by trial
 division against each denominator form instead of generic polynomial gcd.
+That gcd (:func:`poly_gcd`, by subresultants) is the reduction of general
+``RatFun`` arithmetic and the tests' oracle; no ``stablepairs`` command reaches it.
 """
 from __future__ import annotations
 
@@ -459,17 +461,6 @@ def poly_parse(text, arity=4):
 # -- polynomial gcd ------------------------------------------------------------
 
 
-def _content_gcd(a, b):
-    """gcd of two nonnegative rationals: gcd(p1/q1, p2/q2) = gcd(p1,p2)/lcm(q1,q2)."""
-    if a == 0:
-        return b
-    if b == 0:
-        return a
-    return Fraction(
-        _int_gcd(a.numerator, b.numerator), _int_lcm(a.denominator, b.denominator)
-    )
-
-
 def _pseudo_rem(f, g, var):
     """Pseudo-remainder of f by g in the main variable var.
 
@@ -492,8 +483,9 @@ def _pseudo_rem(f, g, var):
     return r
 
 
-def _univariate_content(p, var):
-    """gcd of the coefficient polynomials of p viewed in the variable var."""
+def _primitive_part_in(p, var):
+    """(p / cont, cont) for cont the gcd of the coefficient polynomials of p
+    viewed in the variable var."""
     cont = None
     for power in range(p.degree_in(var) + 1):
         c = p.coeff_in(var, power)
@@ -502,20 +494,17 @@ def _univariate_content(p, var):
         cont = c if cont is None else poly_gcd(cont, c)
         if cont.is_constant():
             break
-    return cont
-
-
-def _primitive_part_in(p, var):
-    cont = _univariate_content(p, var)
     return p.exact_div(cont), cont
 
 
 def _subresultant_gcd(a, b, var):
-    """gcd of a, b (both primitive in var, positive degree), via the
-    subresultant polynomial remainder sequence."""
+    """gcd of a, b (both primitive in var), via the subresultant polynomial
+    remainder sequence."""
     arity = a.arity
     if a.degree_in(var) < b.degree_in(var):
         a, b = b, a
+    if b.degree_in(var) == 0:  # primitive in var and free of it: a unit
+        return Poly.one(arity)
     f, g = a, b
     g_coeff = None  # lc of previous divisor; None means 1 (first round)
     h_coeff = None
@@ -554,47 +543,23 @@ def poly_gcd(a, b):
         raise ValueError("gcd(0, 0) is undefined")
     if a.arity != b.arity:
         raise ValueError("arity mismatch in poly_gcd")
-    if a.is_zero():
-        return _normalize_gcd(b)
-    if b.is_zero():
-        return _normalize_gcd(a)
-    cont = _content_gcd(a.content(), b.content())
+    if a.is_zero() or b.is_zero():
+        g = a + b
+        return g.scale(g.monic_sign())
+    ca, cb = a.content(), b.content()
+    cont = Fraction(_int_gcd(ca.numerator, cb.numerator), _int_lcm(ca.denominator, cb.denominator))
     pa = a.primitive()
     pb = b.primitive()
     if pa.is_constant() or pb.is_constant():
         return Poly.constant(cont, a.arity)
-    used = pa.used_variables() | pb.used_variables()
-    var = min(used)
-    if pa.degree_in(var) == 0 or pb.degree_in(var) == 0:
-        # The main variable is missing from one input: gcd lives in the
-        # coefficient ring of that input.
-        if pa.degree_in(var) != 0:
-            pa, pb = pb, pa
-        g = pa
-        for power in range(pb.degree_in(var) + 1):
-            c = pb.coeff_in(var, power)
-            if c.is_zero():
-                continue
-            g = poly_gcd(g, c)
-            if g.is_constant():
-                break
-        return _normalize_gcd(g.scale(cont / g.content()))
+    # an input without the main variable is its own content in it
+    var = min(pa.used_variables() | pb.used_variables())
     ppa, conta = _primitive_part_in(pa, var)
     ppb, contb = _primitive_part_in(pb, var)
-    cont_part = poly_gcd(conta, contb)
-    gcd_part = _subresultant_gcd(ppa, ppb, var)
-    gcd_part, _ = _primitive_part_in(gcd_part, var)
-    g = cont_part * gcd_part
-    return _normalize_gcd(g.scale(cont / g.content()))
-
-
-def _normalize_gcd(p):
-    """Scale to positive leading coefficient (gcd is defined up to units)."""
-    if p.is_zero():
-        raise ValueError("gcd normalization of zero")
-    if p.monic_sign() < 0:
-        return -p
-    return p
+    # the subresultant gcd is primitive in var already
+    g = poly_gcd(conta, contb) * _subresultant_gcd(ppa, ppb, var)
+    g = g.scale(cont / g.content())
+    return g.scale(g.monic_sign())
 
 
 # -- rational functions ---------------------------------------------------------
@@ -612,8 +577,7 @@ class RatFun:
     def __init__(self, num, den=None):
         if den is None:
             den = Poly.one(num.arity)
-        reduced = _reduce_fraction(num, den)
-        self.num, self.den = reduced
+        self.num, self.den = _reduce_fraction(num, den)
         self._hash = None
 
     @classmethod
@@ -624,17 +588,7 @@ class RatFun:
         form so equality and printing stay canonical.
         """
         out = cls.__new__(cls)
-        if num.is_zero():
-            out.num = Poly(num.arity)
-            out.den = Poly.one(num.arity)
-            out._hash = None
-            return out
-        scale = den.content() * den.monic_sign()
-        if scale != 1:
-            den = den.scale(1 / scale)
-            num = num.scale(1 / scale)
-        out.num = num
-        out.den = den
+        out.num, out.den = _normalized(num, den)
         out._hash = None
         return out
 
@@ -734,26 +688,28 @@ class RatFun:
 
 def _reduce_fraction(num, den):
     """Canonical (num, den): coprime, den integer-primitive with positive
-    leading coefficient.  A constant den c gives (num / c, 1) with no gcd,
-    which is the canonical form (gcd(num, c) is a constant); otherwise the
-    common factor comes from poly_gcd."""
+    leading coefficient.  The common factor comes from poly_gcd, except for a
+    constant den, whose gcd with num is a constant."""
     if den.is_zero():
         raise ZeroDivisionError("rational function with zero denominator")
     if num.arity != den.arity:
         raise ValueError("arity mismatch between numerator and denominator")
+    if not (num.is_zero() or den.is_constant()):
+        g = poly_gcd(num, den)
+        if not g.is_constant():
+            num, den = num.exact_div(g), den.exact_div(g)
+    return _normalized(num, den)
+
+
+def _normalized(num, den):
+    """(num, den) scaled so that den is integer-primitive with positive
+    leading coefficient; zero is 0/1."""
     if num.is_zero():
         return Poly(num.arity), Poly.one(num.arity)
-    if den.is_constant():
-        return num.scale(1 / den.constant_value()), Poly.one(num.arity)
-    g = poly_gcd(num, den)
-    if not (g.is_constant() and g.constant_value() == 1):
-        num = num.exact_div(g)
-        den = den.exact_div(g)
     scale = den.content() * den.monic_sign()
-    if scale != 1:
-        den = den.scale(1 / scale)
-        num = num.scale(1 / scale)
-    return num, den
+    if scale == 1:
+        return num, den
+    return num.scale(1 / scale), den.scale(1 / scale)
 
 
 def specialize(f, assignments):
@@ -1035,17 +991,19 @@ def ratfun_str(f):
     return f"({num})/({poly_str(f.den)})"
 
 
-def ratfun_parse(text, arity=4):
-    """Parse the canonical rational-function text form (inverse of ratfun_str)."""
+def _parse_parts(text, arity):
+    """(num, den) of a rational-function text form, as written: no reduction."""
     text = text.strip()
-    if text == "0":
-        return RatFun.zero(arity)
     m = re.fullmatch(r"\((.*)\)\s*/\s*\((.*)\)", text)
     if m:
-        num = poly_parse(m.group(1), arity)
-        den = poly_parse(m.group(2), arity)
-        return RatFun(num, den)
+        num, den = poly_parse(m.group(1), arity), poly_parse(m.group(2), arity)
+        if den.is_zero():
+            raise ZeroDivisionError("rational function with zero denominator")
+        return num, den
     m = re.fullmatch(r"\((.*)\)", text)
-    if m:
-        return RatFun(poly_parse(m.group(1), arity))
-    return RatFun(poly_parse(text, arity))
+    return poly_parse(m.group(1) if m else text, arity), Poly.one(arity)
+
+
+def ratfun_parse(text, arity=4):
+    """Parse the canonical rational-function text form (inverse of ratfun_str)."""
+    return RatFun(*_parse_parts(text, arity))

@@ -62,8 +62,33 @@ class WallError(ValueError):
     """The stability parameter sits exactly on a wall and no side was chosen."""
 
 
+def _int_str(n):
+    """Decimal text of an int of any size.  str() refuses ints of more than
+    4,300 digits on current Pythons, so a long one is split in halves by a
+    power of ten."""
+    if n < 0:
+        return "-" + _int_str(-n)
+    if n.bit_length() <= 4096:  # at most 1,234 digits
+        return str(n)
+    digits = n.bit_length() * 3 // 20  # about half of its digits
+    high, low = divmod(n, 10**digits)
+    return _int_str(high) + _int_str(low).zfill(digits)
+
+
 def frac_str(x):
-    return str(Fraction(x))
+    """``str(Fraction(x))`` at any size."""
+    x = Fraction(x)
+    text = _int_str(x.numerator)
+    return text if x.denominator == 1 else f"{text}/{_int_str(x.denominator)}"
+
+
+def _decode_json(text, where):
+    """The JSON value of ``text``; nesting too deep for the decoder is a
+    ValueError that names ``where`` the text came from."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{where} nests JSON too deeply") from None
 
 
 def parse_frac(text):
@@ -85,7 +110,7 @@ def _beta_key(beta):
 
 def _parse_beta(key, rank):
     """A class key: a JSON list of ``rank`` nonnegative integers."""
-    values = json.loads(key)
+    values = _decode_json(key, "a class key")
     if (
         not isinstance(values, list)
         or len(values) != rank

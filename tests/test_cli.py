@@ -8,6 +8,7 @@ golden file or a failed identity, 2 usage/input error, 3 internal error.
 
 import io
 import json
+import sys
 import time
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
@@ -205,8 +206,9 @@ def test_golden_file_bless_then_compare(tmp_path):
 
 def test_golden_comparison_is_semantic_not_textual(tmp_path):
     golden = tmp_path / "g.txt"
-    golden.write_text("(  1 ) / ( l3 )\n")
-    assert run(["js", "--n", "1", "--d", "1", "--golden", str(golden)])[0] == 0
+    for text in ("(  1 ) / ( l3 )\n", "(2*l0*l3 + 2*l3)/(2*l0*l3^2 + 2*l3^2)\n"):
+        golden.write_text(text)
+        assert run(["js", "--n", "1", "--d", "1", "--golden", str(golden)])[0] == 0
 
 
 def test_golden_mismatch_exits_1(tmp_path):
@@ -322,6 +324,7 @@ DROP = "<drop this key>"
     {"geometry": [-1.0, -1, 0]},
     {"extra": "x"},
     {"fixed_point_count": 999, "elapsed_ms": 12345, "geometry": [7, 7, 7], "extra": "x"},
+    {"value": "(2)/(l3)", "conjecture_status": "counterexample"},
 ])
 def test_verify_checkpoint_rechecks_loaded_rows(tmp_path, row):
     ck = tmp_path / "rows.jsonl"
@@ -329,7 +332,7 @@ def test_verify_checkpoint_rechecks_loaded_rows(tmp_path, row):
     bad = {key: value for key, value in {**FRESH_ROW_1_1, **row}.items() if value != DROP}
     ck.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
     before = ck.read_text()
-    code, out, err = run(["verify", "--d-max", "1", "--ratio-max", "1",
+    code, out, err = run(["verify", "--d-max", "1", "--ratio-max", "2",
                           "--checkpoint", str(ck)])
     assert (code, out) == (2, "")
     assert "line 2" in err
@@ -337,12 +340,11 @@ def test_verify_checkpoint_rechecks_loaded_rows(tmp_path, row):
 
 
 def test_verify_checkpoint_refuses_forged_huge_rows_quickly(tmp_path):
-    """C(1999999, 10^6), some 40 s to build, is never built: a count with
-    fewer bits than the binomial's lower bound 2^min(d, n/d - 1) is refused
-    first."""
+    """A row outside the sweep is refused before anything is built for it:
+    neither C(1999999, 10^6), some 40 s to build, nor (10^8)!."""
     ck = tmp_path / "rows.jsonl"
-    for count in (1, 10**4000):
-        ck.write_text(json.dumps({**FRESH_ROW_1_1, "n": 10**12, "d": 10**6, "value": "0",
+    for n, d, count in ((10**12, 10**6, 1), (10**12, 10**6, 10**4000), (10**8, 10**8, 1)):
+        ck.write_text(json.dumps({**FRESH_ROW_1_1, "n": n, "d": d, "value": "0",
                                   "fixed_point_count": count}) + "\n")
         start = time.monotonic()
         code, out, err = run(["verify", "--d-max", "1", "--ratio-max", "1",
@@ -374,9 +376,10 @@ def test_verify_checkpoint_resumes_after_torn_last_line(tmp_path):
     assert torn.read_text() == fresh.read_text()
 
     # a malformed line that was written whole is still an error
-    torn.write_text("".join(lines[:2]) + '{"n": 3, "d": 1, "val\n')
-    code, _, err = run(argv + ["--checkpoint", str(torn)])
-    assert code == 2 and "line 3" in err
+    for line in ('{"n": 3, "d": 1, "val\n', "[" * 100000 + "\n"):
+        torn.write_text("".join(lines[:2]) + line)
+        code, _, err = run(argv + ["--checkpoint", str(torn)])
+        assert code == 2 and "line 3" in err
 
 
 @pytest.mark.parametrize("where", ["absent/rows.jsonl", "."])
@@ -480,6 +483,24 @@ def test_series_pt_on_a_wall_needs_a_side(tmp_path):
     assert code == 0
 
 
+def test_series_pt_prints_values_of_any_size(tmp_path):
+    """A 3,001-digit n0 value is accepted, so its square, beyond the
+    4,300-digit limit of str(int), must print too; a value beyond the limit
+    is still refused where the interpreter has one."""
+    f = tmp_path / "big.json"
+    argv = ["series", "pt", "--gv-file", str(f), "--n-max", "2", "--deg-max", "2",
+            "--t", "inf"]
+    f.write_text(json.dumps({"rank": 1, "omega": [1], "n0": {"[1]": "1" + "0" * 3000}}))
+    code, out, _ = run(argv)
+    assert code == 0
+    rows = {(r["n"], tuple(r["beta"])): r["invariant"]
+            for r in json.loads(out)["coefficients"]}
+    assert rows[(2, (2,))] == "1" + "0" * 6000
+    if hasattr(sys, "get_int_max_str_digits"):
+        f.write_text(json.dumps({"rank": 1, "omega": [1], "n0": {"[1]": "1" + "0" * 5000}}))
+        assert run(argv)[:2] == (2, "")
+
+
 # -- series wallcheck ----------------------------------------------------------------
 
 
@@ -542,9 +563,12 @@ def test_series_gvinvert_genus_one_path(tmp_path):
 ])
 def test_series_malformed_gv_file_exits_2(tmp_path, argv_tail):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
     argv = ["series", argv_tail[0], "--gv-file", str(bad)] + argv_tail[1:]
-    assert run(argv)[0] == 2
+    for text in ("{not json", '{"rank": 1, "omega": [1], "n0": {"[1]": ' + "[" * 100000):
+        bad.write_text(text)
+        code, _, err = run(argv)
+        assert code == 2
+    assert f"{bad} nests JSON too deeply" in err
 
 
 @pytest.mark.parametrize("table, named", [
@@ -661,3 +685,41 @@ def test_series_missing_gv_file_exits_2(tmp_path):
     missing = tmp_path / "absent.json"
     assert run(["series", "pt", "--gv-file", str(missing),
                 "--n-max", "1", "--t", "inf"])[0] == 2
+
+
+# -- no command reaches the generic gcd ----------------------------------------------
+
+
+def test_no_command_reaches_the_generic_gcd(tmp_path, monkeypatch):
+    """Every command gives the same exit code and output with
+    ratfun.poly_gcd made to raise: the sums, golden files, checkpoints and
+    the residue certificate are all reduced without the generic gcd."""
+    p2 = str(FIXTURES / "local_p2.json")
+    golden = tmp_path / "g.txt"
+    js = ["js", "--n", "6", "--d", "3"]
+    bless = compare = ["js", "--n", "3", "--d", "3", "--golden", str(golden)]
+    commands = [
+        js, js + ["--format", "json"], js + ["--audit"], bless, compare,
+        ["residues", "--d", "4"],
+        ["series", "pt", "--gv-file", p2, "--n-max", "2", "--t", "2"],
+        ["series", "wallcheck", "--gv-file", p2, "--t0", "1", "--n-max", "2"],
+        ["series", "gvinvert", "--gv-file", p2],
+    ]
+    checkpoints = [tmp_path / f"rows{jobs}.jsonl" for jobs in (1, 2)]
+    for jobs, ck in enumerate(checkpoints, 1):
+        verify = ["verify", "--d-max", "3", "--ratio-max", "3", "--jobs", str(jobs),
+                  "--checkpoint", str(ck)]
+        commands += [verify, verify]  # fresh, then resumed
+
+    def run_all():
+        for path in (golden, *checkpoints):
+            path.unlink(missing_ok=True)
+        return [run(argv) for argv in commands]
+
+    def no_gcd(*args):
+        raise AssertionError("the generic gcd was reached")
+
+    expected = run_all()
+    assert [code for code, _, _ in expected] == [0] * len(commands)
+    monkeypatch.setattr("stablepairs.ratfun.poly_gcd", no_gcd)
+    assert run_all() == expected

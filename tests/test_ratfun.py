@@ -149,6 +149,50 @@ def test_gcd_symmetric_and_self():
         assert poly_gcd(a, a) == a.scale(a.monic_sign())
 
 
+def test_gcd_and_canonical_forms_match_sympy():
+    """poly_gcd and RatFun against sympy, arity 1-4, with pairs in which one
+    side lacks the smallest variable the pair uses: gcd(a, b) is sympy's up
+    to a constant, and RatFun(a, b) has a numerator and denominator coprime
+    by sympy.gcd, the value of sympy.cancel, and an integer-primitive
+    denominator with positive grlex-leading coefficient."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(9)
+    lacking = 0
+    for arity in range(1, 5):
+        gens = sympy.symbols(f"l0:{arity}")
+
+        def to_sympy(p):
+            return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                               * sympy.Mul(*(g**e for g, e in zip(gens, m)))
+                               for m, c in p.coeffs.items()))
+
+        for _ in range(30):
+            common = random_small_poly(rng, arity, max_deg=1) + Poly.one(arity)
+            a = random_small_poly(rng, arity) * common
+            b = (random_small_poly(rng, arity) + Poly.one(arity)) * common
+            if rng.random() < 0.5:  # b without l0, a with it
+                b = b.subs({0: Fraction(rng.randint(-2, 2))})
+                a = a * (Poly.variable(0, arity) + Poly.one(arity))
+            if b.is_zero():
+                continue
+            if a.degree_in(0) > 0 and b.degree_in(0) == 0 and not b.is_constant():
+                lacking += 1
+            A, B = to_sympy(a), to_sympy(b)
+            ratio = sympy.cancel(to_sympy(poly_gcd(a, b)) / sympy.gcd(A, B))
+            assert ratio.is_number and ratio != 0, (a, b)
+
+            f = RatFun(a, b)
+            num, den = to_sympy(f.num), to_sympy(f.den)
+            assert sympy.gcd(num, den).is_number, (a, b)
+            p, q = sympy.fraction(sympy.cancel(A / B))
+            assert sympy.expand(num * q - p * den) == 0, (a, b)
+            den_poly = sympy.Poly(den, *gens)
+            assert all(c.is_integer for c in den_poly.coeffs()), (a, b)
+            assert sympy.igcd(*den_poly.coeffs(), 0) == 1, (a, b)
+            assert den_poly.LC(order="grlex") > 0, (a, b)
+    assert lacking >= 20, lacking
+
+
 # -- rational functions ---------------------------------------------------------------
 
 
