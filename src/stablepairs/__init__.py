@@ -22,112 +22,18 @@ Layers, bottom up:
 * :mod:`stablepairs.cli`         -- the ``stablepairs`` command.
 """
 
-from .equivariant import (
-    E0,
-    E1,
-    E2,
-    E3,
-    ZERO_WEIGHT,
-    EqLineBundleP1,
-    KClass,
-    SplitGeometry,
-    TrivialWeightError,
-    check_square_root,
-    chi_adjunction,
-    chi_p1_line,
-    chi_p1_pair,
-    chi_x_pair,
-    euler_class,
-    euler_factored,
-    kclass_parse,
-    kclass_str,
-)
-from .localcurve import (
-    GEOM_STANDARD,
-    Composition,
-    D1FixedPoint,
-    InvariantResult,
-    d1_fixed_points,
-    enumerate_fixed_points,
-    expected_conjecture_value,
-    fixed_point_sheaf,
-    full_obstruction_d1,
-    full_obstruction_general,
-    half_obstruction_d1,
-    half_obstruction_general,
-    is_homogeneous_of_degree,
-    js_invariant_closed_form,
-    js_invariant_enumerated,
-    orientation_sign,
-    residue_vanishing_check,
-    verify_conjecture,
-)
-from .ratfun import (
-    FactoredRatFun,
-    Poly,
-    PoleOrderError,
-    RatFun,
-    poly_gcd,
-    poly_parse,
-    poly_str,
-    ratfun_parse,
-    ratfun_str,
-    residue_at,
-    specialize,
-    sum_factored,
-)
-from .series import (
-    ClassLattice,
-    GVTable,
-    NMinTable,
-    TParam,
-    TruncatedSeries,
-    WallError,
-    frac_str,
-    gv0_from_gw,
-    gv1_extract,
-    gw0_from_gv0,
-    gw1_assemble,
-    js_from_gv,
-    log_macmahon,
-    macmahon,
-    no_wall_predicate,
-    parse_frac,
-    pt_coeff_from_gv,
-    pt_series_from_gv,
-    wall_candidates,
-    wall_classes,
-    wall_factor_series,
-    wall_jump_check,
-)
+from . import equivariant, localcurve, ratfun, series
+from .equivariant import *
+from .localcurve import *
+from .ratfun import *
+from .series import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # ratfun
-    "Poly", "RatFun", "FactoredRatFun", "PoleOrderError",
-    "poly_gcd", "specialize", "residue_at", "sum_factored",
-    "poly_str", "poly_parse", "ratfun_str", "ratfun_parse",
-    # equivariant
-    "KClass", "EqLineBundleP1", "SplitGeometry", "TrivialWeightError",
-    "ZERO_WEIGHT", "E0", "E1", "E2", "E3",
-    "chi_p1_line", "chi_p1_pair", "chi_x_pair", "chi_adjunction",
-    "euler_factored", "euler_class", "check_square_root",
-    "kclass_str", "kclass_parse",
-    # localcurve
-    "GEOM_STANDARD", "Composition", "D1FixedPoint", "InvariantResult",
-    "enumerate_fixed_points", "d1_fixed_points", "fixed_point_sheaf",
-    "half_obstruction_d1", "half_obstruction_general",
-    "full_obstruction_d1", "full_obstruction_general", "orientation_sign",
-    "js_invariant_enumerated", "js_invariant_closed_form",
-    "expected_conjecture_value", "verify_conjecture",
-    "residue_vanishing_check", "is_homogeneous_of_degree",
-    # series
-    "ClassLattice", "GVTable", "NMinTable", "TParam", "TruncatedSeries",
-    "WallError", "frac_str", "parse_frac", "log_macmahon", "macmahon",
-    "pt_coeff_from_gv", "pt_series_from_gv", "js_from_gv",
-    "wall_factor_series", "wall_classes", "wall_jump_check",
-    "no_wall_predicate", "wall_candidates",
-    "gw0_from_gv0", "gv0_from_gw", "gw1_assemble", "gv1_extract",
+    *ratfun.__all__,
+    *equivariant.__all__,
+    *localcurve.__all__,
+    *series.__all__,
 ]

@@ -22,12 +22,16 @@ raised to its multiplicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import re
 
-from .ratfun import FactoredRatFun, _signed_sum
+from .ratfun import FactoredRatFun, _convolved, _merged, _parse_signed_sum, _signed_sum
 
 __all__ = [
     "Weight",
+    "ZERO_WEIGHT",
+    "E0",
+    "E1",
+    "E2",
+    "E3",
     "KClass",
     "TrivialWeightError",
     "EqLineBundleP1",
@@ -139,14 +143,7 @@ class KClass:
     # -- abelian-group and ring operations ------------------------------------
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for w, m in other.terms.items():
-            s = terms.get(w, 0) + m
-            if s:
-                terms[w] = s
-            else:
-                terms.pop(w, None)
-        return KClass._trusted(terms)
+        return KClass._trusted(_merged(self.terms, other.terms))
 
     def __neg__(self):
         return KClass._trusted({w: -m for w, m in self.terms.items()})
@@ -158,16 +155,7 @@ class KClass:
         """Tensor product (convolution of characters)."""
         if isinstance(other, int):
             return self.scale(other)
-        terms = {}
-        for w1, m1 in self.terms.items():
-            for w2, m2 in other.terms.items():
-                w = _add_weights(w1, w2)
-                s = terms.get(w, 0) + m1 * m2
-                if s:
-                    terms[w] = s
-                else:
-                    terms.pop(w, None)
-        return KClass._trusted(terms)
+        return KClass._trusted(_convolved(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -369,42 +357,6 @@ def kclass_str(kclass):
     return _signed_sum(((w, kclass.terms[w]) for w in weights), "t")
 
 
-_KTERM_SPLIT = re.compile(r"(?<!\^)(?=[+-])")
-_KFACTOR_RE = re.compile(r"^t([0-3])(?:\^(-?\d+))?$")
-
-
 def kclass_parse(text):
     """Parse the canonical KClass text form (inverse of kclass_str)."""
-    text = text.strip()
-    if text == "0":
-        return KClass()
-    compact = text.replace(" ", "")
-    terms = {}
-    for chunk in _KTERM_SPLIT.split(compact):
-        if not chunk:
-            continue
-        sign = 1
-        if chunk[0] == "+":
-            chunk = chunk[1:]
-        elif chunk[0] == "-":
-            sign = -1
-            chunk = chunk[1:]
-        if not chunk:
-            raise ValueError(f"dangling sign in class text {text!r}")
-        mult = sign
-        weight = [0, 0, 0, 0]
-        factors = chunk.split("*")
-        start = 0
-        if factors and re.fullmatch(r"\d+", factors[0]):
-            mult *= int(factors[0])
-            start = 1
-        for factor in factors[start:]:
-            m = _KFACTOR_RE.match(factor)
-            if not m:
-                raise ValueError(f"bad character factor {factor!r} in {text!r}")
-            index = int(m.group(1))
-            exponent = int(m.group(2)) if m.group(2) else 1
-            weight[index] += exponent
-        w = tuple(weight)
-        terms[w] = terms.get(w, 0) + mult
-    return KClass(terms)
+    return KClass(_parse_signed_sum(text, "t", 4, r"\d+"))

@@ -461,14 +461,6 @@ def _at_l3_one(term):
     )
 
 
-def _residue_summand(d0, d1):
-    """The residue term as a RatFun at l3 = 1:
-
-    (-1)^d1 / (d0! d1!) * (l0 + d0 - d1) / prod_{j=-d1}^{d0} (l0 + j).
-    """
-    return _at_l3_one(_residue_term(d0, d1))
-
-
 def _printed_residue_total(m, d):
     """The residue at l0 = m >= 0 as printed in closed form:
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm, prod
+from operator import add
 
 __all__ = [
     "Poly",
@@ -55,6 +56,34 @@ _ONE = Fraction(1)
 
 class PoleOrderError(ArithmeticError):
     """Raised when a residue is requested at a pole of order two or more."""
+
+
+def _merged(a, b):
+    """The sum of two sparse maps {key: nonzero coefficient}, zeros dropped."""
+    out = dict(a)
+    for key, c in b.items():
+        s = out[key] + c if key in out else c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    return out
+
+
+def _convolved(a, b):
+    """The product of two sparse maps keyed by exponent tuples, which add
+    componentwise; zeros dropped."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = tuple(map(add, k1, k2))
+            c = c1 * c2
+            s = out[key] + c if key in out else c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
 
 
 def _grlex_key(mono):
@@ -95,6 +124,16 @@ class Poly:
         self._hash = None
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, arity, coeffs):
+        """Internal: wrap a map of arity-length exponent tuples to nonzero
+        Fractions as is."""
+        out = cls.__new__(cls)
+        out.arity = arity
+        out.coeffs = coeffs
+        out._hash = None
+        return out
 
     @classmethod
     def zero(cls, arity):
@@ -190,25 +229,10 @@ class Poly:
 
     def __add__(self, other):
         self._check_arity(other)
-        coeffs = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            s = coeffs.get(mono, _ZERO) + c
-            if s == 0:
-                coeffs.pop(mono, None)
-            else:
-                coeffs[mono] = s
-        out = Poly.__new__(Poly)
-        out.arity = self.arity
-        out.coeffs = coeffs
-        out._hash = None
-        return out
+        return Poly._trusted(self.arity, _merged(self.coeffs, other.coeffs))
 
     def __neg__(self):
-        out = Poly.__new__(Poly)
-        out.arity = self.arity
-        out.coeffs = {m: -c for m, c in self.coeffs.items()}
-        out._hash = None
-        return out
+        return Poly._trusted(self.arity, {m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -217,20 +241,7 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_arity(other)
-        coeffs = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                s = coeffs.get(mono, _ZERO) + c1 * c2
-                if s == 0:
-                    coeffs.pop(mono, None)
-                else:
-                    coeffs[mono] = s
-        out = Poly.__new__(Poly)
-        out.arity = self.arity
-        out.coeffs = coeffs
-        out._hash = None
-        return out
+        return Poly._trusted(self.arity, _convolved(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -238,11 +249,7 @@ class Poly:
         factor = Fraction(factor)
         if factor == 0:
             return Poly(self.arity)
-        out = Poly.__new__(Poly)
-        out.arity = self.arity
-        out.coeffs = {m: c * factor for m, c in self.coeffs.items()}
-        out._hash = None
-        return out
+        return Poly._trusted(self.arity, {m: c * factor for m, c in self.coeffs.items()})
 
     def __pow__(self, exponent):
         if exponent < 0:
@@ -413,49 +420,43 @@ def poly_str(p):
     return _signed_sum(((m, p.coeffs[m]) for m in monos), "l")
 
 
-_TERM_SPLIT = re.compile(r"(?=[+-])")
-_FACTOR_RE = re.compile(r"^l(\d+)(?:\^(-?\d+))?$")
+_TERM_SPLIT = re.compile(r"(?<!\^)(?=[+-])")
+_RATIONAL = r"\d+(?:/\d+)?"
+
+
+def _parse_signed_sum(text, var, arity, coefficient_pattern):
+    """{exponents: coefficient} of a text written as _signed_sum writes it,
+    e.g. "3/2*l0^2 - l1*l2 + 7" for var "l": terms with an optional leading
+    coefficient matching ``coefficient_pattern`` and factors var<i>^<e> with
+    0 <= i < arity; repeated terms add up, cancelled ones stay as zeros."""
+    terms = {}
+    for chunk in _TERM_SPLIT.split(text.strip().replace(" ", "")):
+        if not chunk:
+            continue
+        sign = -1 if chunk[0] == "-" else 1
+        chunk = chunk[1:] if chunk[0] in "+-" else chunk
+        if not chunk:
+            raise ValueError(f"dangling sign in {text!r}")
+        factors = chunk.split("*")
+        coeff = Fraction(sign)
+        if re.fullmatch(coefficient_pattern, factors[0]):
+            coeff *= Fraction(factors.pop(0))
+        exponents = [0] * arity
+        for factor in factors:
+            m = re.match(rf"{var}(\d+)(?:\^(-?\d+))?$", factor)
+            if not m or int(m.group(1)) >= arity:
+                raise ValueError(f"bad factor {factor!r} in {text!r}")
+            exponents[int(m.group(1))] += int(m.group(2) or 1)
+        key = tuple(exponents)
+        terms[key] = terms.get(key, _ZERO) + coeff
+    return terms
 
 
 def poly_parse(text, arity=4):
     """Parse the canonical polynomial text form (inverse of poly_str)."""
-    text = text.strip()
-    if text in ("0", "-0", "+0"):
-        return Poly(arity)
-    compact = text.replace(" ", "")
-    result = Poly(arity)
-    for chunk in _TERM_SPLIT.split(compact):
-        if not chunk:
-            continue
-        sign = _ONE
-        if chunk[0] == "+":
-            chunk = chunk[1:]
-        elif chunk[0] == "-":
-            sign = -_ONE
-            chunk = chunk[1:]
-        if not chunk:
-            raise ValueError(f"dangling sign in polynomial text {text!r}")
-        coeff = sign
-        mono = [0] * arity
-        factors = chunk.split("*")
-        start = 0
-        # Leading numeric factor (possibly p/q).
-        if factors and re.fullmatch(r"\d+(?:/\d+)?", factors[0]):
-            coeff *= Fraction(factors[0])
-            start = 1
-        for factor in factors[start:]:
-            m = _FACTOR_RE.match(factor)
-            if not m:
-                raise ValueError(f"bad factor {factor!r} in polynomial text {text!r}")
-            index = int(m.group(1))
-            exponent = int(m.group(2)) if m.group(2) else 1
-            if exponent < 0:
-                raise ValueError("negative exponents are not polynomial")
-            if index >= arity:
-                raise ValueError(f"variable l{index} exceeds arity {arity}")
-            mono[index] += exponent
-        result = result + Poly(arity, {tuple(mono): coeff})
-    return result
+    if "^-" in text.replace(" ", ""):
+        raise ValueError(f"negative exponents are not polynomial: {text!r}")
+    return Poly(arity, _parse_signed_sum(text, "l", arity, _RATIONAL))
 
 
 # -- polynomial gcd ------------------------------------------------------------

@@ -18,7 +18,10 @@ The wall factor at t0 is the same exponential over the classes on the wall,
 and a degree-zero part synthesized from genus-one data is the exponential of
 its log series.  Everything is truncated exactly (y-degree at most N, class
 degree at most D, all coefficients Fractions); the truncation is an ideal, so
-exp(a + b) = exp(a) exp(b) holds coefficient by coefficient.  Wall behaviour,
+exp(a + b) = exp(a) exp(b) holds coefficient by coefficient.  Every
+multiple-cover sum (the genus-zero and genus-one Gromov-Witten forms and the
+log series of a synthesized degree-zero part) is one sum over the divisors k
+of a class, weighted by 1/k^2, sigma(k)/k, 1/k or logM_k.  Wall behaviour,
 the finite jump formulas, the simple-wall criterion, the no-wall predicate,
 and the genus-zero/one Gromov-Witten conversions all live here.
 """
@@ -43,6 +46,7 @@ __all__ = [
     "pt_coeff_from_gv",
     "pt_series_from_gv",
     "wall_factor_series",
+    "wall_classes",
     "wall_jump_check",
     "js_from_gv",
     "no_wall_predicate",
@@ -234,31 +238,33 @@ class ClassLattice:
         )
 
 
-def _sub(beta, gamma):
-    return tuple(b - g for b, g in zip(beta, gamma))
+def _rest(beta, gamma):
+    """beta - gamma, or None when that is not an effective class."""
+    rest = tuple(b - g for b, g in zip(beta, gamma))
+    return rest if min(rest, default=0) >= 0 else None
 
 
 def _add(beta, gamma):
     return tuple(b + g for b, g in zip(beta, gamma))
 
 
-def _is_effective(beta):
-    return all(b >= 0 for b in beta)
+def _cover_sum(beta, table, weight, first=1):
+    """sum over k >= first with beta/k a class of ``table`` of
+    weight(k) * table[beta/k]: the multiple-cover sum of ``table`` at beta."""
+    total = Fraction(0)
+    g = math.gcd(*beta)
+    for k in range(first, g + 1):
+        if g % k == 0:
+            base = tuple(b // k for b in beta)
+            if base in table:
+                total += weight(k) * table[base]
+    return total
 
 
-def _divide_beta(beta, m):
-    if all(b % m == 0 for b in beta):
-        return tuple(b // m for b in beta)
-    return None
-
-
-def _multiple_covers(beta, lattice, table):
-    """(k, k*beta) for k = 1, 2, ... while deg(k*beta) <= dmax.  A class of
-    degree zero, which has no finite cover list, is refused naming ``table``."""
-    d = lattice.deg(beta)
-    if d == 0:
-        raise ValueError(f"{table} table contains the zero class")
-    return [(k, tuple(k * b for b in beta)) for k in range(1, lattice.dmax // d + 1)]
+def _refuse_degree_zero(name, table, lattice):
+    """A class of degree zero has no finite list of multiple covers."""
+    if any(lattice.deg(beta) == 0 for beta in table):
+        raise ValueError(f"{name} table contains the zero class")
 
 
 # -- invariant tables -------------------------------------------------------------
@@ -311,12 +317,12 @@ class GVTable:
         """exp of the log series sum_beta n1(beta) sum_k logM_k q^(k beta)."""
         if self._p0_cache is None:
             lat = self.lattice
+            _refuse_degree_zero("n1", self.n1, lat)
             logm = log_macmahon(lat.dmax)
-            log_series = {}
-            for beta, mult in sorted(self.n1.items()):
-                for k, gamma in _multiple_covers(beta, lat, "n1"):
-                    key = (0, gamma)
-                    log_series[key] = log_series.get(key, Fraction(0)) + mult * logm[k]
+            log_series = {
+                (0, beta): _cover_sum(beta, self.n1, logm.__getitem__)
+                for beta in lat.positive_classes()
+            }
             p0 = _exp(TruncatedSeries(lat, 0, log_series))
             self._p0_cache = {beta: c for (_, beta), c in p0.coeffs.items()}
         return self._p0_cache
@@ -556,7 +562,7 @@ def pt_coeff_from_gv(t, n, beta, gv, memo=None):
     f(0, beta) = P(0, beta).
     """
     beta = tuple(beta)
-    if n < 0 or not _is_effective(beta):
+    if n < 0 or min(beta, default=0) < 0:
         return Fraction(0)
     if memo is None:
         memo = {}
@@ -567,26 +573,21 @@ def pt_coeff_from_gv(t, n, beta, gv, memo=None):
         value = gv.p0_value(beta)
     else:
         value = Fraction(0)
-        for gamma, mult in sorted(gv.n0.items()):
-            if not _is_effective(_sub(beta, gamma)):
+        for gamma, mult in gv.n0.items():
+            rest = _rest(beta, gamma)
+            if rest is None or not t.admits(gv.lattice.deg(gamma)):
                 continue
-            if not t.admits(gv.lattice.deg(gamma)):
-                continue
-            value += mult * pt_coeff_from_gv(t, n - 1, _sub(beta, gamma), gv, memo)
+            value += mult * pt_coeff_from_gv(t, n - 1, rest, gv, memo)
     memo[key] = value
     return value
 
 
 def pt_series_from_gv(t, gv, nmax):
     """The chamber generating series P0 * exp(y sum n0(beta) q^beta), the sum
-    over the stored classes that t admits (asked in sorted class order)."""
+    over the stored classes that t admits."""
     lattice = gv.lattice
     p0 = TruncatedSeries(lattice, nmax, {(0, b): gv.p0_value(b) for b in lattice.classes()})
-    active = {
-        (1, beta): mult
-        for beta, mult in sorted(gv.n0.items())
-        if t.admits(lattice.deg(beta))
-    }
+    active = {(1, beta): mult for beta, mult in gv.n0.items() if t.admits(lattice.deg(beta))}
     return p0 * _exp(TruncatedSeries(lattice, nmax, active))
 
 
@@ -606,25 +607,14 @@ def js_from_gv(n, beta, gv):
     """Equal-slope pair count: for n >= 1 the sum over ordered decompositions
     beta_1 + ... + beta_n = beta with deg(beta_i) = deg(beta)/n of the product
     of n0 values; n = 1 gives n0(beta); n = 0 gives P(0, beta)."""
-    beta = tuple(beta)
     if n == 0:
         return gv.p0_value(beta)
     lattice = gv.lattice
     slope = Fraction(lattice.deg(beta), n)
-
-    def rec(remaining, slots):
-        if slots == 0:
-            return Fraction(1) if not any(remaining) else Fraction(0)
-        total = Fraction(0)
-        for gamma, mult in sorted(gv.n0.items()):
-            if Fraction(lattice.deg(gamma)) != slope:
-                continue
-            if not _is_effective(_sub(remaining, gamma)):
-                continue
-            total += mult * rec(_sub(remaining, gamma), slots - 1)
-        return total
-
-    return rec(beta, n)
+    # the ordered-decomposition recursion over the classes of that slope
+    # alone, with P(0, beta) = 1 on the zero class and 0 elsewhere
+    on_slope = {gamma: v for gamma, v in gv.n0.items() if lattice.deg(gamma) == slope}
+    return pt_coeff_from_gv(TParam.infinity(), n, beta, GVTable(lattice, on_slope, p0={}))
 
 
 # -- wall-crossing checks --------------------------------------------------------------
@@ -665,10 +655,8 @@ def wall_jump_check(t0, gv, nmax):
             active_k1 = 0
             higher_terms_vanish = True
             for (k, b2), w in wall.coeffs.items():
-                if k == 0 or k > n:
-                    continue
-                rest = _sub(beta, b2)
-                if not _is_effective(rest):
+                rest = _rest(beta, b2)
+                if k == 0 or k > n or rest is None:
                     continue
                 term = w * pt_coeff_from_gv(minus, n - k, rest, gv, memo_minus)
                 id_wcf += math.perm(n, k) * term
@@ -679,8 +667,8 @@ def wall_jump_check(t0, gv, nmax):
                         higher_terms_vanish = False
             mspace = Fraction(0)
             for b2 in classes_on_wall:
-                rest = _sub(beta, b2)
-                if _is_effective(rest):
+                rest = _rest(beta, b2)
+                if rest is not None:
                     mspace += (
                         n
                         * gv.n0[b2]
@@ -730,7 +718,7 @@ def wall_candidates(beta, n, nmin, lattice):
     found = set()
     for sub in lattice.sub_classes(beta):
         low = nmin(sub)
-        high = n - nmin(_sub(beta, sub))
+        high = n - nmin(_rest(beta, sub))
         d = lattice.deg(sub)
         for n2 in range(low, high + 1):
             value = Fraction(n2, d)
@@ -742,19 +730,9 @@ def wall_candidates(beta, n, nmin, lattice):
 # -- Gromov-Witten conversions -----------------------------------------------------------
 
 
-def _cover_sum(beta, n0, first):
-    """sum over k >= first with beta/k a class of n0 of n0(beta/k) / k^2."""
-    total = Fraction(0)
-    for k in range(first, max(beta) + 1):
-        base = _divide_beta(beta, k)
-        if base is not None and base in n0:
-            total += Fraction(n0[base], k**2)
-    return total
-
-
 def gw0_from_gv0(n0, lattice):
     """Genus-zero multiple-cover sum: GW(0, beta) = sum_{k | beta} n0(beta/k) / k^2."""
-    out = {beta: _cover_sum(beta, n0, 1) for beta in lattice.positive_classes()}
+    out = {beta: _cover_sum(beta, n0, _inverse_square) for beta in lattice.positive_classes()}
     return {beta: v for beta, v in out.items() if v}
 
 
@@ -762,14 +740,23 @@ def gv0_from_gw(gw0, lattice):
     """Triangular inversion of the genus-zero multiple-cover sum."""
     n0 = {}
     for beta in lattice.positive_classes():
-        total = Fraction(gw0.get(beta, 0)) - _cover_sum(beta, n0, 2)
+        total = Fraction(gw0.get(beta, 0)) - _cover_sum(beta, n0, _inverse_square, 2)
         if total:
             n0[beta] = total
     return n0
 
 
-def _sigma(d):
-    return sum(k for k in range(1, d + 1) if d % k == 0)
+def _inverse(k):
+    return Fraction(1, k)
+
+
+def _inverse_square(k):
+    return Fraction(1, k * k)
+
+
+def _sigma_over_k(k):
+    """sigma(k)/k, the sum of 1/j over the divisors j of k."""
+    return sum(Fraction(1, j) for j in range(1, k + 1) if k % j == 0)
 
 
 def gw1_assemble(n1, n0_c2, meeting, lattice):
@@ -779,27 +766,32 @@ def gw1_assemble(n1, n0_c2, meeting, lattice):
           - 1/24 sum_beta n0_c2(beta) sum_k q^(k beta)/k
           + 1/24 sum_(b1,b2) meeting(b1,b2) sum_k q^(k(b1+b2))/k.
     """
-    out = {}
-
-    def bump(table, beta, weight):
-        for k, gamma in _multiple_covers(beta, lattice, table):
-            out[gamma] = out.get(gamma, Fraction(0)) + weight(k)
-
-    for beta, v in sorted(n1.items()):
-        bump("n1", beta, lambda d: v * Fraction(_sigma(d), d))
-    for beta, v in sorted((n0_c2 or {}).items()):
-        bump("n0_c2", beta, lambda k: -v / Fraction(24 * k))
-    for (b1, b2), v in sorted((meeting or {}).items()):
-        bump("meeting", _add(b1, b2), lambda k: v / Fraction(24 * k))
+    met = {}
+    for (b1, b2), v in (meeting or {}).items():
+        beta = _add(b1, b2)
+        met[beta] = met.get(beta, 0) + v
+    n0_c2 = n0_c2 or {}
+    for name, table in (("n1", n1), ("n0_c2", n0_c2), ("meeting", met)):
+        _refuse_degree_zero(name, table, lattice)
+    out = {
+        beta: _cover_sum(beta, n1, _sigma_over_k)
+        + (_cover_sum(beta, met, _inverse) - _cover_sum(beta, n0_c2, _inverse)) / 24
+        for beta in lattice.positive_classes()
+    }
     return {b: v for b, v in out.items() if v}
 
 
 def gv1_extract(gw1, n0_c2, meeting, lattice):
-    """Triangular inversion of gw1_assemble: recover n1 in increasing degree."""
+    """Triangular inversion of gw1_assemble: recover n1 in increasing degree,
+    where sigma(1)/1 = 1 multiplies the new entry."""
+    known = gw1_assemble({}, n0_c2, meeting, lattice)
     n1 = {}
     for beta in lattice.positive_classes():
-        assembled = gw1_assemble(n1, n0_c2, meeting, lattice).get(beta, Fraction(0))
-        residual = Fraction(gw1.get(beta, 0)) - assembled
+        residual = (
+            Fraction(gw1.get(beta, 0))
+            - known.get(beta, 0)
+            - _cover_sum(beta, n1, _sigma_over_k, 2)
+        )
         if residual:
-            n1[beta] = residual  # sigma(1)/1 = 1 multiplies the new entry
+            n1[beta] = residual
     return n1

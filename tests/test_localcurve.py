@@ -32,7 +32,7 @@ from stablepairs.localcurve import (
     orientation_sign,
     residue_vanishing_check,
     verify_conjecture,
-    _residue_summand,
+    _at_l3_one,
     _residue_term,
     _worker_count,
 )
@@ -322,7 +322,7 @@ def test_report_shape():
 def test_residue_summands_frozen_at_first_pole():
     # d = 2, pole at m = 1, summands ordered by d1 = 0, 1, 2
     values = [
-        residue_at(_residue_summand(2 - d1, d1), 1).as_fraction() for d1 in range(3)
+        residue_at(_at_l3_one(_residue_term(2 - d1, d1)), 1).as_fraction() for d1 in range(3)
     ]
     assert values == [Fraction(0), Fraction(-1, 2), Fraction(1, 2)]
 
@@ -340,7 +340,7 @@ def test_residue_summands_equal_the_reduced_generic_fraction():
             den = one
             for j in range(-d1, d0 + 1):
                 den = den * (L[0] + one * j)
-            assert _residue_summand(d0, d1) == RatFun(num, den), (d0, d1)
+            assert _at_l3_one(_residue_term(d0, d1)) == RatFun(num, den), (d0, d1)
 
 
 def test_residue_certificate_fails_on_a_doubled_summand(monkeypatch):

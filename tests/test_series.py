@@ -354,6 +354,8 @@ def test_genus_one_degree_zero_rejected():
         gw1_assemble({}, {(0,): Fraction(1)}, {}, lattice)
     with pytest.raises(ValueError):
         gw1_assemble({}, {}, {((0,), (0,)): Fraction(1)}, lattice)
+    with pytest.raises(ValueError, match="n1"):
+        GVTable(lattice, n1={(0,): 1}).p0_value((1,))
 
 
 def test_genus_one_round_trips():
@@ -377,6 +379,124 @@ def test_genus_one_round_trips():
             meeting[(positives[0], positives[1])] = Fraction(rng.randint(1, 2))
         gw1 = gw1_assemble(n1, n0_c2, meeting, lattice)
         assert gv1_extract(gw1, n0_c2, meeting, lattice) == n1
+
+
+# -- reference oracles: push-style cover sums and js_from_gv's own recursion -----------
+
+
+def reference_multiple_covers(beta, lattice, table):
+    """(k, k*beta) for k = 1, 2, ... while deg(k*beta) <= dmax; a class of
+    degree zero is refused naming ``table``."""
+    d = lattice.deg(beta)
+    if d == 0:
+        raise ValueError(f"{table} table contains the zero class")
+    return [(k, tuple(k * b for b in beta)) for k in range(1, lattice.dmax // d + 1)]
+
+
+def reference_gw1_assemble(n1, n0_c2, meeting, lattice):
+    """The genus-one series built push-style: every table entry adds its
+    weighted multiple covers to the classes k*beta."""
+    out = {}
+
+    def bump(table, beta, weight):
+        for k, gamma in reference_multiple_covers(beta, lattice, table):
+            out[gamma] = out.get(gamma, Fraction(0)) + weight(k)
+
+    for beta, v in sorted(n1.items()):
+        bump("n1", beta,
+             lambda d: v * Fraction(sum(k for k in range(1, d + 1) if d % k == 0), d))
+    for beta, v in sorted(n0_c2.items()):
+        bump("n0_c2", beta, lambda k: -v / Fraction(24 * k))
+    for (b1, b2), v in sorted(meeting.items()):
+        bump("meeting", tuple(x + y for x, y in zip(b1, b2)),
+             lambda k: v / Fraction(24 * k))
+    return {b: v for b, v in out.items() if v}
+
+
+def reference_p0(n1, lattice):
+    """exp of the log series sum_beta n1(beta) sum_k logM_k q^(k beta), the
+    log series built push-style."""
+    logm = log_macmahon(lattice.dmax)
+    log_series = {}
+    for beta, mult in sorted(n1.items()):
+        for k, gamma in reference_multiple_covers(beta, lattice, "n1"):
+            key = (0, gamma)
+            log_series[key] = log_series.get(key, Fraction(0)) + mult * logm[k]
+    p0 = _exp(TruncatedSeries(lattice, 0, log_series))
+    return {beta: c for (_, beta), c in p0.coeffs.items()}
+
+
+def reference_js_from_gv(n, beta, gv):
+    """The equal-slope count by its own recursion over ordered decompositions
+    into classes of degree deg(beta)/n."""
+    beta = tuple(beta)
+    if n == 0:
+        return gv.p0_value(beta)
+    lattice = gv.lattice
+    slope = Fraction(lattice.deg(beta), n)
+
+    def rec(remaining, slots):
+        if slots == 0:
+            return Fraction(1) if not any(remaining) else Fraction(0)
+        total = Fraction(0)
+        for gamma, mult in sorted(gv.n0.items()):
+            if Fraction(lattice.deg(gamma)) != slope:
+                continue
+            rest = tuple(b - g for b, g in zip(remaining, gamma))
+            if any(b < 0 for b in rest):
+                continue
+            total += mult * rec(rest, slots - 1)
+        return total
+
+    return rec(beta, n)
+
+
+def random_genus_one_tables(rng):
+    """A lattice of rank 1 or 2 with fractional n1 and n0_c2 tables and a
+    few meeting pairs, some of them summing beyond the truncation."""
+    lattice = random_lattice(rng, deg_lo=2)
+    positives = lattice.positive_classes()
+
+    def table(share, den):
+        return {b: Fraction(rng.randint(-3, 3), rng.randint(1, den))
+                for b in positives if rng.random() < share}
+
+    meeting = {}
+    for _ in range(rng.randint(0, 3)):
+        pair = (rng.choice(positives), rng.choice(positives))
+        meeting[pair] = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+    return lattice, table(0.5, 3), table(0.3, 2), meeting
+
+
+def test_genus_one_assembly_matches_the_push_style_reference():
+    rng = random.Random(306)
+    ranks = set()
+    for _ in range(80):
+        lattice, n1, n0_c2, meeting = random_genus_one_tables(rng)
+        ranks.add(lattice.rank)
+        gw1 = reference_gw1_assemble(n1, n0_c2, meeting, lattice)
+        assert gw1_assemble(n1, n0_c2, meeting, lattice) == gw1
+        assert gv1_extract(gw1, n0_c2, meeting, lattice) == {b: v for b, v in n1.items() if v}
+    assert ranks == {1, 2}
+
+
+def test_p0_synthesis_matches_the_push_style_reference():
+    rng = random.Random(307)
+    for _ in range(40):
+        lattice, n1, _, _ = random_genus_one_tables(rng)
+        expected = reference_p0(n1, lattice)
+        gv = GVTable(lattice, n0={}, n1=n1)
+        for beta in lattice.classes():
+            assert gv.p0_value(beta) == expected.get(beta, 0), beta
+
+
+def test_js_from_gv_matches_its_own_recursion():
+    rng = random.Random(308)
+    tables = [local_p2_table()] + [random_gv_table(rng) for _ in range(25)]
+    for gv in tables:
+        for beta in gv.lattice.classes():
+            for n in range(5):
+                assert js_from_gv(n, beta, gv) == reference_js_from_gv(n, beta, gv), (n, beta)
 
 
 # -- p0 synthesis and serialization ----------------------------------------------------
