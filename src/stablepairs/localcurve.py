@@ -406,6 +406,11 @@ def _verify_row(key):
     return js_invariant_closed_form(*key).to_report()
 
 
+def _sweep_grid(d_max, ratio_max):
+    """The (n, d) of a sweep in row order: n = d, 2d, ..., ratio_max*d for d <= d_max."""
+    return [(ratio * d, d) for d in range(1, d_max + 1) for ratio in range(1, ratio_max + 1)]
+
+
 def verify_conjecture(d_max, ratio_max, jobs=1, rows_done=None, on_row=None):
     """Sweep P(n, d) for d <= d_max, n = d, 2d, ..., ratio_max*d.
 
@@ -415,7 +420,7 @@ def verify_conjecture(d_max, ratio_max, jobs=1, rows_done=None, on_row=None):
     ``rows_done`` maps (n, d) to previously computed row dicts to skip;
     ``on_row`` is called with each freshly computed row dict, in order.
     """
-    grid = [(ratio * d, d) for d in range(1, d_max + 1) for ratio in range(1, ratio_max + 1)]
+    grid = _sweep_grid(d_max, ratio_max)
     done = dict(rows_done or {})
     for row in _ordered_map(_verify_row, [key for key in grid if key not in done], jobs):
         done[row["n"], row["d"]] = row

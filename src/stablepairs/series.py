@@ -15,15 +15,16 @@ exponential:
     PT^t = (sum_beta P(0,beta) q^beta) * exp(y sum_{active beta} n_0(beta) q^beta).
 
 The wall factor at t0 is the same exponential over the classes on the wall,
-and a degree-zero part synthesized from genus-one data is the exponential of
-its log series.  Everything is truncated exactly (y-degree at most N, class
-degree at most D, all coefficients Fractions); the truncation is an ideal, so
-exp(a + b) = exp(a) exp(b) holds coefficient by coefficient.  Every
-multiple-cover sum (the genus-zero and genus-one Gromov-Witten forms and the
-log series of a synthesized degree-zero part) is one sum over the divisors k
-of a class, weighted by 1/k^2, sigma(k)/k, 1/k or logM_k.  Wall behaviour,
-the finite jump formulas, the simple-wall criterion, the no-wall predicate,
-and the genus-zero/one Gromov-Witten conversions all live here.
+a synthesized degree-zero part is the exponential of its log series, and
+MacMahon's M(q) = exp(sum_j logM_j q^j) is its rank-1 case; all four run one
+recurrence (_exp) graded by the weight n + deg(beta) of y^n q^beta.  All is
+truncated exactly (y-degree at most N, class degree at most D, coefficients
+Fractions); the truncation is an ideal, so exp(a + b) = exp(a) exp(b) holds
+coefficient by coefficient.  Every multiple-cover sum (the genus-zero and
+genus-one Gromov-Witten forms and the log series of a synthesized degree-zero
+part) is one sum over the divisors k of a class, weighted by 1/k^2,
+sigma(k)/k, 1/k or logM_k.  Wall checks, wall predicates and the
+Gromov-Witten conversions live here too.
 """
 from __future__ import annotations
 
@@ -318,11 +319,8 @@ class GVTable:
         if self._p0_cache is None:
             lat = self.lattice
             _refuse_degree_zero("n1", self.n1, lat)
-            logm = log_macmahon(lat.dmax)
-            log_series = {
-                (0, beta): _cover_sum(beta, self.n1, logm.__getitem__)
-                for beta in lat.positive_classes()
-            }
+            logm = log_macmahon(lat.dmax).__getitem__
+            log_series = {(0, b): _cover_sum(b, self.n1, logm) for b in lat.positive_classes()}
             p0 = _exp(TruncatedSeries(lat, 0, log_series))
             self._p0_cache = {beta: c for (_, beta), c in p0.coeffs.items()}
         return self._p0_cache
@@ -489,39 +487,39 @@ class TruncatedSeries:
             out[key] = out.get(key, 0) + c
         return TruncatedSeries(self.lattice, self.nmax, out)
 
-    def scale(self, factor):
-        factor = Fraction(factor)
-        return TruncatedSeries(
-            self.lattice, self.nmax, {k: c * factor for k, c in self.coeffs.items()}
-        )
-
     def __mul__(self, other):
         dmax = self.lattice.dmax
         out = {}
         for (n1, b1), c1 in self.coeffs.items():
             d1 = self.lattice.deg(b1)
             for (n2, b2), c2 in other.coeffs.items():
-                n = n1 + n2
-                if n > self.nmax:
-                    continue
-                if d1 + self.lattice.deg(b2) > dmax:
-                    continue
-                key = (n, _add(b1, b2))
-                out[key] = out.get(key, 0) + c1 * c2
+                if n1 + n2 <= self.nmax and d1 + self.lattice.deg(b2) <= dmax:
+                    key = (n1 + n2, _add(b1, b2))
+                    out[key] = out.get(key, 0) + c1 * c2
         return TruncatedSeries(self.lattice, self.nmax, out)
 
 
 def _exp(series):
-    """exp(series) = sum_k series^k / k! for a series without a constant
-    term.  Each power raises the y-degree or the class degree, so the
-    truncation ends the sum; once a power is zero every later one is."""
-    total = term = TruncatedSeries.one(series.lattice, series.nmax)
-    k = 0
-    while term.coeffs:
-        k += 1
-        term = (term * series).scale(Fraction(1, k))
-        total = total + term
-    return total
+    """exp(series) for a series without a constant term.  The weight
+    w(y^n q^beta) = n + deg(beta) is positive off it, and E = exp(S) satisfies
+    w(m) E_m = sum_{m1 + m2 = m} w(m1) S_m1 E_m2 with m2 lighter than m; so,
+    visited by increasing weight, each E_m is final before it is pushed into
+    heavier levels.  Pushes past the truncation are dropped."""
+    lattice, nmax = series.lattice, series.nmax
+    terms = [(n, lattice.deg(beta), beta, c) for (n, beta), c in series.coeffs.items()]
+    terms = [(n, d, beta, (n + d) * c) for n, d, beta, c in terms]  # c weighted by w
+    levels = {0: {(0, lattice.zero()): Fraction(1)}}  # weight -> {m: w(m) E_m}
+    out = {}
+    while levels:
+        weight = min(levels)
+        for (n, beta), total in levels.pop(weight).items():
+            out[n, beta] = coeff = total / (weight or 1)
+            for n1, d1, beta1, wc in terms:
+                if coeff and n + n1 <= nmax and weight - n + d1 <= lattice.dmax:
+                    level = levels.setdefault(weight + n1 + d1, {})
+                    key = (n + n1, _add(beta, beta1))
+                    level[key] = level.get(key, 0) + wc * coeff
+    return TruncatedSeries(lattice, nmax, out)
 
 
 # -- MacMahon ---------------------------------------------------------------------
@@ -536,19 +534,15 @@ def log_macmahon(order):
             out[k * m] += Fraction(k, m)
     return out
 
+
 def macmahon(order):
     """MacMahon series coefficients through the given order:
-    M(q) = prod_k (1 - q^k)^(-k) = 1 + q + 3q^2 + 6q^3 + 13q^4 + ..."""
-    logm = log_macmahon(order)
-    out = [Fraction(0)] * (order + 1)
-    out[0] = Fraction(1)
-    # exp by the derivative recurrence: j*out[j] = sum_i i*logm[i]*out[j-i]
-    for j in range(1, order + 1):
-        acc = Fraction(0)
-        for i in range(1, j + 1):
-            acc += i * logm[i] * out[j - i]
-        out[j] = acc / j
-    return out
+    M(q) = prod_k (1 - q^k)^(-k) = 1 + q + 3q^2 + 6q^3 + 13q^4 + ...,
+    the rank-1 case of _exp: M = exp(sum_j logM_j q^j)."""
+    lattice = ClassLattice(1, (1,), order)
+    logm = {(0, (j,)): c for j, c in enumerate(log_macmahon(order))}
+    series = _exp(TruncatedSeries(lattice, 0, logm))
+    return [series.coefficient(0, (j,)) for j in range(order + 1)]
 
 
 # -- pair counts --------------------------------------------------------------------

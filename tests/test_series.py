@@ -609,3 +609,57 @@ def test_exp_of_one_class_is_the_closed_form():
                   for k in range(kmax + 1)}
         series = _exp(TruncatedSeries(lattice, nmax, {(1, beta): n0}))
         assert series == TruncatedSeries(lattice, nmax, closed), (beta, n0, nmax)
+
+
+def reference_power_sum_exp(series):
+    """exp(series) = sum_k series^k / k!, the power sum that the weighted
+    recurrence replaced: each power raises the y-degree or the class degree,
+    so the truncation ends the sum."""
+    lattice, nmax = series.lattice, series.nmax
+    total = term = TruncatedSeries.one(lattice, nmax)
+    k = 0
+    while term.coeffs:
+        k += 1
+        term = term * series
+        term = TruncatedSeries(lattice, nmax, {key: c / k for key, c in term.coeffs.items()})
+        total = total + term
+    return total
+
+
+def reference_macmahon_loop(order):
+    """MacMahon coefficients by the derivative recurrence that macmahon ran
+    on its own: j M_j = sum_i i logM_i M_(j-i)."""
+    logm = log_macmahon(order)
+    out = [Fraction(0)] * (order + 1)
+    out[0] = Fraction(1)
+    for j in range(1, order + 1):
+        acc = Fraction(0)
+        for i in range(1, j + 1):
+            acc += i * logm[i] * out[j - i]
+        out[j] = acc / j
+    return out
+
+
+def test_exp_matches_the_power_sum_reference():
+    rng = random.Random(309)
+    ranks, mixed = set(), 0
+    for _ in range(60):
+        rank = rng.randint(1, 3)
+        omega = tuple(rng.randint(1, 2) for _ in range(rank))
+        lattice = ClassLattice(rank, omega, rng.randint(1, 7 if rank < 3 else 5))
+        nmax = rng.randint(0, 4)
+        series = random_series_without_constant(rng, lattice, nmax)
+        ranks.add(rank)
+        mixed += len({n > 0 for n, _ in series.coeffs}) == 2
+        assert _exp(series) == reference_power_sum_exp(series), (lattice, nmax)
+        zero = TruncatedSeries(lattice, nmax)
+        assert _exp(zero) == reference_power_sum_exp(zero) == TruncatedSeries.one(lattice, nmax)
+    assert ranks == {1, 2, 3} and mixed >= 10
+
+
+def test_macmahon_matches_its_former_loop():
+    expected = reference_macmahon_loop(80)
+    for order in range(81):
+        coeffs = macmahon(order)
+        assert coeffs == expected[: order + 1], order
+        assert all(type(c) is Fraction for c in coeffs)
