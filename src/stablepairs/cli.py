@@ -61,6 +61,7 @@ from .series import (
     _bounded_lattice,
     _decode_json,
     _read_class_tables,
+    _top_n,
 )
 
 EXIT_OK = 0
@@ -338,8 +339,9 @@ def cmd_series_pt(args):
         memo = {}
         rows = []
         consistent = True
+        n_top = _top_n(gv, args.n_max)
         for beta in gv.lattice.classes():
-            for n in range(args.n_max + 1):
+            for n in range(n_top + 1):
                 from_series = math.factorial(n) * series.coefficient(n, beta)
                 from_recursion = pt_coeff_from_gv(t, n, beta, gv, memo)
                 if from_series != from_recursion:

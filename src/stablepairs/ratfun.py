@@ -484,10 +484,9 @@ def _pseudo_rem(f, g, var):
     return r
 
 
-def _primitive_part_in(p, var):
-    """(p / cont, cont) for cont the gcd of the coefficient polynomials of p
-    viewed in the variable var."""
-    cont = None
+def _content_in(p, var, cont=None):
+    """The gcd of the coefficient polynomials of p viewed in the variable
+    var (and of ``cont``, when given); the fold stops once it is constant."""
     for power in range(p.degree_in(var) + 1):
         c = p.coeff_in(var, power)
         if c.is_zero():
@@ -495,17 +494,21 @@ def _primitive_part_in(p, var):
         cont = c if cont is None else poly_gcd(cont, c)
         if cont.is_constant():
             break
+    return cont
+
+
+def _primitive_part_in(p, var):
+    """(p / cont, cont) for cont the content of p in the variable var."""
+    cont = _content_in(p, var)
     return p.exact_div(cont), cont
 
 
 def _subresultant_gcd(a, b, var):
-    """gcd of a, b (both primitive in var), via the subresultant polynomial
-    remainder sequence."""
+    """gcd of a, b (both primitive in var and of positive degree in it), via
+    the subresultant polynomial remainder sequence."""
     arity = a.arity
     if a.degree_in(var) < b.degree_in(var):
         a, b = b, a
-    if b.degree_in(var) == 0:  # primitive in var and free of it: a unit
-        return Poly.one(arity)
     f, g = a, b
     g_coeff = None  # lc of previous divisor; None means 1 (first round)
     h_coeff = None
@@ -553,12 +556,17 @@ def poly_gcd(a, b):
     pb = b.primitive()
     if pa.is_constant() or pb.is_constant():
         return Poly.constant(cont, a.arity)
-    # an input without the main variable is its own content in it
     var = min(pa.used_variables() | pb.used_variables())
-    ppa, conta = _primitive_part_in(pa, var)
-    ppb, contb = _primitive_part_in(pb, var)
-    # the subresultant gcd is primitive in var already
-    g = poly_gcd(conta, contb) * _subresultant_gcd(ppa, ppb, var)
+    if pa.degree_in(var) == 0 or pb.degree_in(var) == 0:
+        # one input lacks the main variable: the gcd is its gcd with the
+        # coefficients of the other in that variable
+        free, other = (pa, pb) if pa.degree_in(var) == 0 else (pb, pa)
+        g = _content_in(other, var, free)
+    else:
+        ppa, conta = _primitive_part_in(pa, var)
+        ppb, contb = _primitive_part_in(pb, var)
+        # the subresultant gcd is primitive in var already
+        g = poly_gcd(conta, contb) * _subresultant_gcd(ppa, ppb, var)
     g = g.scale(cont / g.content())
     return g.scale(g.monic_sign())
 

@@ -281,6 +281,11 @@ class GVTable:
     MacMahon product  sum_beta P(0,beta) q^beta = prod_beta M(q^beta)^{n1(beta)}.
     meeting and nmin are auxiliary tables for the genus-one assembly and the
     wall predicates.
+
+    A table is treated as immutable once used: the synthesized p0 and the
+    split table of pt_coeff_from_gv (for each class beta, the stored classes
+    gamma <= beta with their degree, n0 value and beta - gamma, heaviest
+    first) are built on first use and kept.  Neither takes part in equality.
     """
 
     lattice: ClassLattice
@@ -289,7 +294,8 @@ class GVTable:
     p0: dict = None
     meeting: dict = None
     nmin: dict = None
-    _p0_cache: dict = field(default=None, repr=False)
+    _p0_cache: dict = field(default=None, repr=False, compare=False)
+    _split_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.n0 = {tuple(b): Fraction(v) for b, v in self.n0.items() if Fraction(v)}
@@ -324,6 +330,22 @@ class GVTable:
             p0 = _exp(TruncatedSeries(lat, 0, log_series))
             self._p0_cache = {beta: c for (_, beta), c in p0.coeffs.items()}
         return self._p0_cache
+
+    def _splits(self, beta):
+        """[(deg gamma, n0(gamma), beta - gamma)] over the stored classes
+        gamma <= beta, heaviest first: every chamber admits a prefix of it."""
+        splits = self._split_cache.get(beta)
+        if splits is None:
+            deg = self.lattice.deg
+            if any(deg(gamma) < 1 for gamma in self.n0):
+                raise ValueError("class degree must be positive")
+            splits = [
+                (deg(gamma), mult, rest)
+                for gamma, mult in sorted(self.n0.items(), key=lambda item: -deg(item[0]))
+                if (rest := _rest(beta, gamma)) is not None
+            ]
+            self._split_cache[beta] = splits
+        return splits
 
     # -- JSON ----------------------------------------------------------------------
 
@@ -391,6 +413,13 @@ class TParam:
     value: Fraction = None
     side: int = 0
 
+    def __post_init__(self):
+        if self.kind == "finite":  # 1/t, outside the fields; an int when it is one
+            threshold = 1 / self.value
+            if threshold == int(threshold):
+                threshold = int(threshold)
+            object.__setattr__(self, "_threshold", threshold)
+
     @classmethod
     def exact(cls, t):
         return cls("finite", Fraction(t), 0)
@@ -416,7 +445,10 @@ class TParam:
         deg > 1/t, resolved to the chosen side on the wall itself.
 
         Raises WallError for an exact parameter sitting on the wall of this
-        degree, i.e. deg == 1/t.
+        degree, i.e. deg == 1/t.  The classes a chamber admits are those of
+        degree above 1/t (and at 1/t on the plus side), so, over classes
+        listed heaviest first, they are a prefix that ends at the first
+        degree not admitted.
         """
         if deg < 1:
             raise ValueError("class degree must be positive")
@@ -424,7 +456,7 @@ class TParam:
             return False
         if self.kind == "infinity":
             return True
-        threshold = 1 / self.value
+        threshold = self._threshold
         if deg == threshold:
             if self.side > 0:
                 return True
@@ -457,7 +489,8 @@ class TruncatedSeries:
         clean = {}
         if coeffs:
             for (n, beta), c in coeffs.items():
-                c = Fraction(c)
+                if not isinstance(c, Fraction):
+                    c = Fraction(c)
                 if not c:
                     continue
                 beta = tuple(beta)
@@ -488,15 +521,21 @@ class TruncatedSeries:
         return TruncatedSeries(self.lattice, self.nmax, out)
 
     def __mul__(self, other):
-        dmax = self.lattice.dmax
+        lattice, nmax = self.lattice, self.nmax
+        right = sorted(
+            ((lattice.deg(b2), n2, b2, c2) for (n2, b2), c2 in other.coeffs.items()),
+            key=lambda term: term[0],
+        )
         out = {}
         for (n1, b1), c1 in self.coeffs.items():
-            d1 = self.lattice.deg(b1)
-            for (n2, b2), c2 in other.coeffs.items():
-                if n1 + n2 <= self.nmax and d1 + self.lattice.deg(b2) <= dmax:
+            room_n, room_d = nmax - n1, lattice.dmax - lattice.deg(b1)
+            for d2, n2, b2, c2 in right:
+                if d2 > room_d:
+                    break
+                if n2 <= room_n:
                     key = (n1 + n2, _add(b1, b2))
-                    out[key] = out.get(key, 0) + c1 * c2
-        return TruncatedSeries(self.lattice, self.nmax, out)
+                    out[key] = out[key] + c1 * c2 if key in out else c1 * c2
+        return TruncatedSeries(lattice, nmax, out)
 
 
 def _exp(series):
@@ -518,7 +557,7 @@ def _exp(series):
                 if coeff and n + n1 <= nmax and weight - n + d1 <= lattice.dmax:
                     level = levels.setdefault(weight + n1 + d1, {})
                     key = (n + n1, _add(beta, beta1))
-                    level[key] = level.get(key, 0) + wc * coeff
+                    level[key] = level[key] + wc * coeff if key in level else wc * coeff
     return TruncatedSeries(lattice, nmax, out)
 
 
@@ -553,7 +592,10 @@ def pt_coeff_from_gv(t, n, beta, gv, memo=None):
 
     f(n, beta) = sum over stored classes gamma with n0 != 0, gamma <= beta,
     and t admitting deg(gamma), of n0(gamma) * f(n-1, beta - gamma);
-    f(0, beta) = P(0, beta).
+    f(0, beta) = P(0, beta).  A step walks the table's split list of beta,
+    heaviest class first, up to the first degree t does not admit; an exact
+    t on a wall raises WallError once the walk reaches a class on it.
+    ``memo`` is keyed by (n, beta) and lives as long as the caller keeps it.
     """
     beta = tuple(beta)
     if n < 0 or min(beta, default=0) < 0:
@@ -567,13 +609,22 @@ def pt_coeff_from_gv(t, n, beta, gv, memo=None):
         value = gv.p0_value(beta)
     else:
         value = Fraction(0)
-        for gamma, mult in gv.n0.items():
-            rest = _rest(beta, gamma)
-            if rest is None or not t.admits(gv.lattice.deg(gamma)):
-                continue
-            value += mult * pt_coeff_from_gv(t, n - 1, rest, gv, memo)
+        for deg, mult, rest in gv._splits(beta):
+            if not t.admits(deg):
+                break
+            sub = pt_coeff_from_gv(t, n - 1, rest, gv, memo)
+            if sub:
+                value += mult * sub
     memo[key] = value
     return value
+
+
+def _top_n(gv, nmax):
+    """min(nmax, dmax // the smallest stored class degree): P^t(n, beta) sums
+    over n stored classes inside beta, so no class of the lattice has a
+    nonzero pair count at a larger n (nor at n >= 1 when n0 is empty)."""
+    low = min(map(gv.lattice.deg, gv.n0), default=None)
+    return 0 if low is None else min(nmax, gv.lattice.dmax // low)
 
 
 def pt_series_from_gv(t, gv, nmax):
@@ -636,38 +687,39 @@ def wall_jump_check(t0, gv, nmax):
     wall = wall_factor_series(t0, gv, nmax)
     series_ok = series_plus == wall * series_minus
     classes_on_wall = wall_classes(t0, gv)
+    wall_terms = [(k, b2, w) for (k, b2), w in wall.coeffs.items() if k]
+    wall_n0 = [(b2, gv.n0[b2]) for b2 in classes_on_wall]
 
     memo_plus, memo_minus = {}, {}
     rows = []
     all_ok = series_ok
+    n_top = _top_n(gv, nmax)
     for beta in lattice.classes():
-        for n in range(nmax + 1):
+        # the wall terms and wall classes inside beta, with what is left of it
+        terms_in = [(k, w, rest) for k, b2, w in wall_terms
+                    if (rest := _rest(beta, b2)) is not None]
+        wall_in = [(mult, rest) for b2, mult in wall_n0
+                   if (rest := _rest(beta, b2)) is not None]
+        for n in range(n_top + 1):
             p_plus = pt_coeff_from_gv(plus, n, beta, gv, memo_plus)
             p_minus = pt_coeff_from_gv(minus, n, beta, gv, memo_minus)
             jump = p_plus - p_minus
             id_wcf = Fraction(0)
             active_k1 = 0
             higher_terms_vanish = True
-            for (k, b2), w in wall.coeffs.items():
-                rest = _rest(beta, b2)
-                if k == 0 or k > n or rest is None:
-                    continue
-                term = w * pt_coeff_from_gv(minus, n - k, rest, gv, memo_minus)
-                id_wcf += math.perm(n, k) * term
-                if term:
+            for k, w, rest in terms_in:
+                sub = k <= n and pt_coeff_from_gv(minus, n - k, rest, gv, memo_minus)
+                if sub:
+                    id_wcf += math.perm(n, k) * w * sub
                     if k == 1:
                         active_k1 += 1
                     else:
                         higher_terms_vanish = False
             mspace = Fraction(0)
-            for b2 in classes_on_wall:
-                rest = _rest(beta, b2)
-                if rest is not None:
-                    mspace += (
-                        n
-                        * gv.n0[b2]
-                        * pt_coeff_from_gv(minus, n - 1, rest, gv, memo_minus)
-                    )
+            for mult, rest in wall_in:
+                sub = pt_coeff_from_gv(minus, n - 1, rest, gv, memo_minus)
+                if sub:
+                    mspace += n * mult * sub
             simple = active_k1 == 1 and higher_terms_vanish
             row_ok = jump == id_wcf and (not simple or jump == mspace)
             all_ok = all_ok and row_ok

@@ -526,6 +526,27 @@ def test_series_wallcheck_rejects_nonpositive_t0(tmp_path):
                 "--t0", "-1", "--n-max", "2"])[0] == 2
 
 
+def test_series_huge_n_max_stops_at_the_top_y_degree():
+    """No pair count is nonzero past n = dmax // (smallest stored degree), so
+    at --n-max 10**9 pt and wallcheck finish at once: wallcheck prints what
+    --n-max 10 prints, and pt differs from it only in the echoed n_max."""
+    p2 = str(FIXTURES / "local_p2.json")
+    for command, *flags in (["pt", "--t", "inf"], ["pt", "--t", "1", "--side", "minus"],
+                            ["wallcheck", "--t0", "1"]):
+        argv = ["series", command, "--gv-file", p2, *flags, "--n-max"]
+        start = time.monotonic()
+        huge = run(argv + [str(10**9)])
+        assert time.monotonic() - start < 5, command
+        small = run(argv + ["10"])
+        assert huge[0] == small[0] == 0 and huge[2] == small[2] == ""
+        if command == "wallcheck":
+            assert huge == small
+        else:
+            huge_report, small_report = json.loads(huge[1]), json.loads(small[1])
+            assert (huge_report.pop("n_max"), small_report.pop("n_max")) == (10**9, 10)
+            assert huge_report == small_report and huge_report["coefficients"]
+
+
 # -- series gvinvert -----------------------------------------------------------------
 
 

@@ -663,3 +663,151 @@ def test_macmahon_matches_its_former_loop():
         coeffs = macmahon(order)
         assert coeffs == expected[: order + 1], order
         assert all(type(c) is Fraction for c in coeffs)
+
+
+# -- the split table ----------------------------------------------------------------------
+
+
+def reference_admits(t, deg):
+    """TParam.admits as it computed 1/t on every call."""
+    if t.kind != "finite":
+        return t.kind == "infinity"
+    threshold = 1 / t.value
+    if deg == threshold:
+        if t.side:
+            return t.side > 0
+        raise WallError(
+            f"t = {t.value} lies on the wall of a stored degree-{deg} class; choose a side"
+        )
+    return deg > threshold
+
+
+def reference_pt_coeff(t, n, beta, gv, memo):
+    """P^t(n, beta) by the recursion as it walked the whole n0 table on each
+    step, testing every class for beta - gamma >= 0 and for admission."""
+    if n < 0:
+        return Fraction(0)
+    if (n, beta) not in memo:
+        if n == 0:
+            value = gv.p0_value(beta)
+        else:
+            value = Fraction(0)
+            for gamma, mult in gv.n0.items():
+                rest = tuple(b - g for b, g in zip(beta, gamma))
+                if min(rest) >= 0 and reference_admits(t, gv.lattice.deg(gamma)):
+                    value += mult * reference_pt_coeff(t, n - 1, rest, gv, memo)
+        memo[n, beta] = value
+    return memo[n, beta]
+
+
+def reference_mul(a, b):
+    """TruncatedSeries.__mul__ as it tested both degrees on every pair."""
+    lattice, out = a.lattice, {}
+    for (n1, b1), c1 in a.coeffs.items():
+        for (n2, b2), c2 in b.coeffs.items():
+            if n1 + n2 <= a.nmax and lattice.deg(b1) + lattice.deg(b2) <= lattice.dmax:
+                key = (n1 + n2, tuple(x + y for x, y in zip(b1, b2)))
+                out[key] = out.get(key, 0) + c1 * c2
+    return TruncatedSeries(lattice, a.nmax, out)
+
+
+def random_rank_table(rng, rank):
+    """A table of the given rank, fractional n0, explicit or synthesized p0."""
+    omega = tuple(rng.randint(1, 2) for _ in range(rank))
+    lattice = ClassLattice(rank, omega, rng.randint(2, 6 if rank < 3 else 4))
+    n0 = {beta: Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+          for beta in lattice.positive_classes() if rng.random() < 0.5}
+    if rng.random() < 0.5:
+        p0 = {beta: Fraction(rng.randint(-2, 3)) for beta in lattice.classes()
+              if rng.random() < 0.4}
+        return GVTable(lattice, n0=n0, p0=p0)
+    n1 = {beta: Fraction(rng.randint(-2, 2), rng.choice([1, 2]))
+          for beta in lattice.positive_classes() if rng.random() < 0.4}
+    return GVTable(lattice, n0=n0, n1=n1)
+
+
+def chambers(gv):
+    """inf, 0+, each side of every wall, and exact parameters off the walls:
+    between two integer degrees and at an integer degree no class has."""
+    degrees = sorted({gv.lattice.deg(beta) for beta in gv.n0})
+    out = [TParam.infinity(), TParam.zero_plus()]
+    for d in degrees:
+        out += [TParam.plus(Fraction(1, d)), TParam.minus(Fraction(1, d)),
+                TParam.exact(Fraction(2, 2 * d + 1))]
+    out += [TParam.exact(Fraction(1, d)) for d in range(1, gv.lattice.dmax + 2)
+            if d not in degrees]
+    return out
+
+
+def test_recursion_and_product_match_the_former_walks():
+    rng = random.Random(310)
+    seen = set()
+    for case in range(45):
+        rank = case % 3 + 1
+        gv = random_rank_table(rng, rank)
+        nmax = rng.randint(1, 4)
+        seen.add((rank, gv.p0 is None))
+        for t in chambers(gv):
+            memo, reference = {}, {}
+            for beta in gv.lattice.classes():
+                for n in range(nmax + 1):
+                    assert pt_coeff_from_gv(t, n, beta, gv, memo) == reference_pt_coeff(
+                        t, n, beta, gv, reference), (t, n, beta)
+            p0 = TruncatedSeries(gv.lattice, nmax,
+                                 {(0, b): gv.p0_value(b) for b in gv.lattice.classes()})
+            active = {(1, b): v for b, v in gv.n0.items() if t.admits(gv.lattice.deg(b))}
+            assert pt_series_from_gv(t, gv, nmax) == reference_mul(
+                p0, _exp(TruncatedSeries(gv.lattice, nmax, active)))
+        a = random_series_without_constant(rng, gv.lattice, nmax)
+        b = random_series_without_constant(rng, gv.lattice, nmax) + p0
+        assert a * b == reference_mul(a, b) and b * a == reference_mul(b, a)
+    assert seen == {(r, synthesized) for r in (1, 2, 3) for synthesized in (False, True)}
+
+
+def test_exact_parameter_on_a_wall_raises_where_the_former_walk_did():
+    rng = random.Random(311)
+    raised = 0
+    for case in range(30):
+        gv = random_rank_table(rng, case % 3 + 1)
+        for d in sorted({gv.lattice.deg(beta) for beta in gv.n0}):
+            t = TParam.exact(Fraction(1, d))
+            for beta in gv.lattice.classes():
+                for n in range(4):
+                    try:
+                        expected = reference_pt_coeff(t, n, beta, gv, {})
+                    except WallError as exc:
+                        with pytest.raises(WallError) as got:
+                            pt_coeff_from_gv(t, n, beta, gv, {})
+                        assert str(got.value) == str(exc)
+                        # never at n = 0, nor below every class on the wall
+                        assert n > 0 and gv.lattice.deg(beta) >= d
+                        raised += 1
+                    else:
+                        assert pt_coeff_from_gv(t, n, beta, gv, {}) == expected
+    assert raised >= 100
+
+
+def test_exact_parameter_on_a_wall_is_quiet_below_it():
+    gv = local_p2_table()  # n0 on degrees 1 and 4
+    t = TParam.exact(Fraction(1, 4))
+    for beta in gv.lattice.classes():
+        assert pt_coeff_from_gv(t, 0, beta, gv) == gv.p0_value(beta)
+        if beta[0] < 4:
+            for n in range(1, 4):
+                pt_coeff_from_gv(t, n, beta, gv)  # no class on the wall fits
+    with pytest.raises(WallError, match="degree-4 class"):
+        pt_coeff_from_gv(t, 1, (4,), gv)
+
+
+def test_wall_sweep_keeps_only_the_split_table():
+    rng = random.Random(312)
+    for case in range(9):
+        gv = random_rank_table(rng, case % 3 + 1)
+        fresh = GVTable.from_json(gv.to_json(), dmax=gv.lattice.dmax)
+        fields = set(vars(gv))
+        for d in sorted({gv.lattice.deg(beta) for beta in gv.n0}, reverse=True):
+            assert wall_jump_check(Fraction(1, d), gv, 3)["ok"]
+        classes = set(gv.lattice.classes())
+        assert set(vars(gv)) == fields
+        assert set(gv._split_cache) <= classes
+        assert fresh == gv
