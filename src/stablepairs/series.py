@@ -682,10 +682,8 @@ def wall_jump_check(t0, gv, nmax):
     t0 = Fraction(t0)
     lattice = gv.lattice
     plus, minus = TParam.plus(t0), TParam.minus(t0)
-    series_plus = pt_series_from_gv(plus, gv, nmax)
-    series_minus = pt_series_from_gv(minus, gv, nmax)
     wall = wall_factor_series(t0, gv, nmax)
-    series_ok = series_plus == wall * series_minus
+    series_ok = pt_series_from_gv(plus, gv, nmax) == wall * pt_series_from_gv(minus, gv, nmax)
     classes_on_wall = wall_classes(t0, gv)
     wall_terms = [(k, b2, w) for (k, b2), w in wall.coeffs.items() if k]
     wall_n0 = [(b2, gv.n0[b2]) for b2 in classes_on_wall]
