@@ -336,9 +336,8 @@ class GVTable:
         gamma <= beta, heaviest first: every chamber admits a prefix of it."""
         splits = self._split_cache.get(beta)
         if splits is None:
+            _refuse_degree_zero("n0", self.n0, self.lattice)
             deg = self.lattice.deg
-            if any(deg(gamma) < 1 for gamma in self.n0):
-                raise ValueError("class degree must be positive")
             splits = [
                 (deg(gamma), mult, rest)
                 for gamma, mult in sorted(self.n0.items(), key=lambda item: -deg(item[0]))
