@@ -18,9 +18,18 @@ The wall factor at t0 is the same exponential over the classes on the wall,
 a synthesized degree-zero part is the exponential of its log series, and
 MacMahon's M(q) = exp(sum_j logM_j q^j) is its rank-1 case; all four run one
 recurrence (_exp) graded by the weight n + deg(beta) of y^n q^beta.  All is
-truncated exactly (y-degree at most N, class degree at most D, coefficients
-Fractions); the truncation is an ideal, so exp(a + b) = exp(a) exp(b) holds
-coefficient by coefficient.  Every multiple-cover sum (the genus-zero and
+truncated exactly (y-degree at most nmax, class degree at most dmax,
+coefficients Fractions); the truncation is an ideal, so exp(a + b) =
+exp(a) exp(b) holds coefficient by coefficient.
+
+Every value passed in or out is a Fraction, but the four hot loops run on
+ints over common denominators, each the lcm of the denominators present, and
+build one Fraction per coefficient that leaves them: the recursion over
+D = lcm of the n0 denominators and E = lcm of the P(0, beta) denominators
+(D^n E P^t(n, beta) is an int); a product over the two operands' lcms; _exp
+over L_w, the lcm of the denominators on weight level w, times the series'
+own lcm; and the jump formula of a wall check over D^n E K_W, K_W the lcm of
+the wall series' denominators.  Every multiple-cover sum (the genus-zero and
 genus-one Gromov-Witten forms and the log series of a synthesized degree-zero
 part) is one sum over the divisors k of a class, weighted by 1/k^2,
 sigma(k)/k, 1/k or logM_k.  Wall checks, wall predicates and the
@@ -31,6 +40,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -214,7 +224,7 @@ class ClassLattice:
             raise ValueError("dmax must be nonnegative")
 
     def deg(self, beta):
-        return sum(w * b for w, b in zip(self.omega, beta))
+        return sum(map(operator.mul, self.omega, beta))
 
     def zero(self):
         return (0,) * self.rank
@@ -241,12 +251,29 @@ class ClassLattice:
 
 def _rest(beta, gamma):
     """beta - gamma, or None when that is not an effective class."""
-    rest = tuple(b - g for b, g in zip(beta, gamma))
+    rest = tuple(map(operator.sub, beta, gamma))
     return rest if min(rest, default=0) >= 0 else None
 
 
 def _add(beta, gamma):
-    return tuple(b + g for b, g in zip(beta, gamma))
+    return tuple(map(operator.add, beta, gamma))
+
+
+def _common_den(values):
+    """The lcm of the denominators of the Fractions ``values`` (1 for none)."""
+    return math.lcm(*(v.denominator for v in values))
+
+
+def _over(c, den):
+    """den * c, an int, for a Fraction c whose denominator divides den."""
+    return c.numerator * (den // c.denominator)
+
+
+def _numerators(coeffs):
+    """(L, {key: L * c}) for L the common denominator of the Fractions in
+    the dict ``coeffs``: the values as ints over L."""
+    den = _common_den(coeffs.values())
+    return den, {key: _over(c, den) for key, c in coeffs.items()}
 
 
 def _cover_sum(beta, table, weight, first=1):
@@ -282,10 +309,12 @@ class GVTable:
     meeting and nmin are auxiliary tables for the genus-one assembly and the
     wall predicates.
 
-    A table is treated as immutable once used: the synthesized p0 and the
-    split table of pt_coeff_from_gv (for each class beta, the stored classes
-    gamma <= beta with their degree, n0 value and beta - gamma, heaviest
-    first) are built on first use and kept.  Neither takes part in equality.
+    A table is treated as immutable once used: the scales D (the lcm of the
+    n0 denominators) and E (of the P(0, beta) denominators), the synthesized
+    p0 and the split table of pt_coeff_from_gv (for each class beta, the
+    stored classes gamma <= beta with their degree, D n0(gamma) and
+    beta - gamma, heaviest first) are built on first use and kept.  None of
+    them takes part in equality.
     """
 
     lattice: ClassLattice
@@ -294,6 +323,8 @@ class GVTable:
     p0: dict = None
     meeting: dict = None
     nmin: dict = None
+    _n0_scale: int = field(default=None, repr=False, compare=False)
+    _p0_scale: int = field(default=None, repr=False, compare=False)
     _p0_cache: dict = field(default=None, repr=False, compare=False)
     _split_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -331,15 +362,34 @@ class GVTable:
             self._p0_cache = {beta: c for (_, beta), c in p0.coeffs.items()}
         return self._p0_cache
 
+    def _n0_den(self):
+        """D, the lcm of the n0 denominators."""
+        if self._n0_scale is None:
+            self._n0_scale = _common_den(self.n0.values())
+        return self._n0_scale
+
+    def _p0_den(self):
+        """E, the lcm of the P(0, beta) denominators over every class,
+        explicit or synthesized (P(0, 0) = 1 by default among them)."""
+        if self._p0_scale is None:
+            p0 = self.p0 if self.p0 is not None else self._synthesized_p0()
+            self._p0_scale = _common_den(p0.values())
+        return self._p0_scale
+
+    def _scaled_p0(self, beta):
+        """E P(0, beta), an int."""
+        return _over(self.p0_value(beta), self._p0_den())
+
     def _splits(self, beta):
-        """[(deg gamma, n0(gamma), beta - gamma)] over the stored classes
-        gamma <= beta, heaviest first: every chamber admits a prefix of it."""
+        """[(deg gamma, D n0(gamma), beta - gamma)] over the stored classes
+        gamma <= beta, heaviest first, the middle entry an int: every
+        chamber admits a prefix of it."""
         splits = self._split_cache.get(beta)
         if splits is None:
             _refuse_degree_zero("n0", self.n0, self.lattice)
-            deg = self.lattice.deg
+            deg, scale = self.lattice.deg, self._n0_den()
             splits = [
-                (deg(gamma), mult, rest)
+                (deg(gamma), _over(mult, scale), rest)
                 for gamma, mult in sorted(self.n0.items(), key=lambda item: -deg(item[0]))
                 if (rest := _rest(beta, gamma)) is not None
             ]
@@ -499,6 +549,14 @@ class TruncatedSeries:
         self.coeffs = clean
 
     @classmethod
+    def _trusted(cls, lattice, nmax, coeffs):
+        """Internal: wrap a map of keys inside the truncation to nonzero
+        Fractions as is."""
+        out = cls.__new__(cls)
+        out.lattice, out.nmax, out.coeffs = lattice, nmax, coeffs
+        return out
+
+    @classmethod
     def one(cls, lattice, nmax):
         return cls(lattice, nmax, {(0, lattice.zero()): Fraction(1)})
 
@@ -520,13 +578,17 @@ class TruncatedSeries:
         return TruncatedSeries(self.lattice, self.nmax, out)
 
     def __mul__(self, other):
+        """The product, summed as ints over da db, da and db the common
+        denominators of the two operands."""
         lattice, nmax = self.lattice, self.nmax
+        da, left = _numerators(self.coeffs)
+        db, right = _numerators(other.coeffs)
         right = sorted(
-            ((lattice.deg(b2), n2, b2, c2) for (n2, b2), c2 in other.coeffs.items()),
+            ((lattice.deg(b2), n2, b2, c2) for (n2, b2), c2 in right.items()),
             key=lambda term: term[0],
         )
         out = {}
-        for (n1, b1), c1 in self.coeffs.items():
+        for (n1, b1), c1 in left.items():
             room_n, room_d = nmax - n1, lattice.dmax - lattice.deg(b1)
             for d2, n2, b2, c2 in right:
                 if d2 > room_d:
@@ -534,7 +596,9 @@ class TruncatedSeries:
                 if n2 <= room_n:
                     key = (n1 + n2, _add(b1, b2))
                     out[key] = out[key] + c1 * c2 if key in out else c1 * c2
-        return TruncatedSeries(lattice, nmax, out)
+        den = da * db
+        return TruncatedSeries._trusted(
+            lattice, nmax, {key: Fraction(c, den) for key, c in out.items() if c})
 
 
 def _exp(series):
@@ -542,22 +606,46 @@ def _exp(series):
     w(y^n q^beta) = n + deg(beta) is positive off it, and E = exp(S) satisfies
     w(m) E_m = sum_{m1 + m2 = m} w(m1) S_m1 E_m2 with m2 lighter than m; so,
     visited by increasing weight, each E_m is final before it is pushed into
-    heavier levels.  Pushes past the truncation are dropped."""
+    heavier levels.  Pushes past the truncation are dropped.
+
+    The sums run on ints.  The terms w(m1) S_m1 are ints over ds, the series'
+    common denominator.  Once level w is final, its E_m are pushed as ints
+    over L_w, their common denominator, so a heavier level holds one bucket
+    of ints for each scale ds L_w pushed into it, and adds its buckets over
+    the lcm of those scales."""
     lattice, nmax = series.lattice, series.nmax
-    terms = [(n, lattice.deg(beta), beta, c) for (n, beta), c in series.coeffs.items()]
-    terms = [(n, d, beta, (n + d) * c) for n, d, beta, c in terms]  # c weighted by w
-    levels = {0: {(0, lattice.zero()): Fraction(1)}}  # weight -> {m: w(m) E_m}
+    ds, coeffs = _numerators(series.coeffs)
+    terms = [(n, lattice.deg(beta), beta, c) for (n, beta), c in coeffs.items()]
+    terms = sorted(((n, d, beta, (n + d) * c) for n, d, beta, c in terms),  # c weighted by w
+                   key=lambda term: term[1])
+    # weight -> {scale: {m: int}}: w(m) E_m is the sum of int / scale over the buckets
+    levels = {0: {1: {(0, lattice.zero()): 1}}}
     out = {}
     while levels:
         weight = min(levels)
-        for (n, beta), total in levels.pop(weight).items():
-            out[n, beta] = coeff = total / (weight or 1)
-            for n1, d1, beta1, wc in terms:
-                if coeff and n + n1 <= nmax and weight - n + d1 <= lattice.dmax:
-                    level = levels.setdefault(weight + n1 + d1, {})
+        buckets = levels.pop(weight)
+        scale = math.lcm(*buckets)
+        totals = {}
+        for s, bucket in buckets.items():
+            lift = scale // s
+            for m, c in bucket.items():
+                totals[m] = totals[m] + lift * c if m in totals else lift * c
+        level = {m: Fraction(c, scale * (weight or 1)) for m, c in totals.items() if c}
+        if not level:
+            continue
+        out.update(level)
+        den, level = _numerators(level)
+        scale = ds * den
+        room_d = lattice.dmax - min(weight - n for n, _ in level)
+        for n1, d1, beta1, wc in terms:
+            if d1 > room_d:
+                break
+            bucket = levels.setdefault(weight + n1 + d1, {}).setdefault(scale, {})
+            for (n, beta), coeff in level.items():
+                if n + n1 <= nmax and weight - n + d1 <= lattice.dmax:
                     key = (n + n1, _add(beta, beta1))
-                    level[key] = level[key] + wc * coeff if key in level else wc * coeff
-    return TruncatedSeries(lattice, nmax, out)
+                    bucket[key] = bucket[key] + wc * coeff if key in bucket else wc * coeff
+    return TruncatedSeries._trusted(lattice, nmax, out)
 
 
 # -- MacMahon ---------------------------------------------------------------------
@@ -594,28 +682,58 @@ def pt_coeff_from_gv(t, n, beta, gv, memo=None):
     f(0, beta) = P(0, beta).  A step walks the table's split list of beta,
     heaviest class first, up to the first degree t does not admit; an exact
     t on a wall raises WallError once the walk reaches a class on it.
-    ``memo`` is keyed by (n, beta) and lives as long as the caller keeps it.
+    ``memo`` is keyed by (n, beta) and lives as long as the caller keeps it;
+    it holds the scaled ints D^n E f(n, beta) of _scaled_pt, not Fractions.
     """
     beta = tuple(beta)
     if n < 0 or min(beta, default=0) < 0:
         return Fraction(0)
-    if memo is None:
-        memo = {}
+    value = _scaled_pt(t, n, beta, gv, {} if memo is None else memo)
+    return Fraction(value, gv._n0_den() ** n * gv._p0_den()) if value else Fraction(0)
+
+
+def _scaled_pt(t, n, beta, gv, memo):
+    """g(n, beta) = D^n E P^t(n, beta), an int, for n >= 0, a class beta and
+    D and E the scales of ``gv``: g(0, beta) = E P(0, beta) and g(n, beta) =
+    sum of a_gamma g(n-1, beta - gamma) over the split list of beta,
+    a_gamma = D n0(gamma).
+
+    The walk is depth first, heaviest class first, as a recursion would
+    make it, but on an explicit stack, so n is not bounded by the
+    interpreter's recursion limit.  Each (n, beta) asked for is looked up
+    in ``memo`` once, and every value computed is stored there."""
     key = (n, beta)
     if key in memo:
         return memo[key]
     if n == 0:
-        value = gv.p0_value(beta)
-    else:
-        value = Fraction(0)
-        for deg, mult, rest in gv._splits(beta):
-            if not t.admits(deg):
+        memo[key] = value = gv._scaled_p0(beta)
+        return value
+    admits = t.admits
+    stack = [[n, beta, gv._splits(beta), 0, 0]]  # steps under way: n, beta, splits, next, sum
+    while True:
+        step = stack[-1]
+        n, beta, splits, i, total = step
+        while i < len(splits) and admits(splits[i][0]):
+            _, mult, rest = splits[i]
+            sub_key = (n - 1, rest)
+            if sub_key in memo:
+                sub = memo[sub_key]
+            elif n == 1:
+                memo[sub_key] = sub = gv._scaled_p0(rest)
+            else:  # go down into beta - gamma, then come back to split i
+                step[3], step[4] = i, total
+                stack.append([n - 1, rest, gv._splits(rest), 0, 0])
                 break
-            sub = pt_coeff_from_gv(t, n - 1, rest, gv, memo)
-            if sub:
-                value += mult * sub
-    memo[key] = value
-    return value
+            total += mult * sub
+            i += 1
+        else:
+            memo[n, beta] = total
+            stack.pop()
+            if not stack:
+                return total
+            up = stack[-1]
+            up[4] += up[2][up[3]][1] * total
+            up[3] += 1
 
 
 def _top_n(gv, nmax):
@@ -677,6 +795,9 @@ def wall_jump_check(t0, gv, nmax):
     moduli-space form  jump = n * sum_{wall b''} P^-(n-1, b-b'') * n0(b'').
     A wall is simple at (n, beta) when exactly one k = 1 term is nonzero and
     every k >= 2 term vanishes.
+
+    The three sides of each row are compared as ints over D^n E K_W, with
+    K_W the common denominator of the wall series.
     """
     t0 = Fraction(t0)
     lattice = gv.lattice
@@ -684,8 +805,13 @@ def wall_jump_check(t0, gv, nmax):
     wall = wall_factor_series(t0, gv, nmax)
     series_ok = pt_series_from_gv(plus, gv, nmax) == wall * pt_series_from_gv(minus, gv, nmax)
     classes_on_wall = wall_classes(t0, gv)
-    wall_terms = [(k, b2, w) for (k, b2), w in wall.coeffs.items() if k]
-    wall_n0 = [(b2, gv.n0[b2]) for b2 in classes_on_wall]
+    # over D^n E K_W, W(k, b'') P^-(n-k, .) is D^k (K_W W(k, b'')) g^-(n-k, .)
+    # and n0(b'') P^-(n-1, .) is (K_W D n0(b'')) g^-(n-1, .)
+    scale_d, scale_e = gv._n0_den(), gv._p0_den()
+    scale_w = _common_den(wall.coeffs.values())
+    wall_terms = [(k, b2, _over(w, scale_w) * scale_d**k)
+                  for (k, b2), w in wall.coeffs.items() if k]
+    wall_n0 = [(b2, _over(gv.n0[b2], scale_d) * scale_w) for b2 in classes_on_wall]
 
     memo_plus, memo_minus = {}, {}
     rows = []
@@ -698,36 +824,36 @@ def wall_jump_check(t0, gv, nmax):
         wall_in = [(mult, rest) for b2, mult in wall_n0
                    if (rest := _rest(beta, b2)) is not None]
         for n in range(n_top + 1):
-            p_plus = pt_coeff_from_gv(plus, n, beta, gv, memo_plus)
-            p_minus = pt_coeff_from_gv(minus, n, beta, gv, memo_minus)
-            jump = p_plus - p_minus
-            id_wcf = Fraction(0)
+            jump = scale_w * (_scaled_pt(plus, n, beta, gv, memo_plus)
+                              - _scaled_pt(minus, n, beta, gv, memo_minus))
+            id_wcf = 0
             active_k1 = 0
             higher_terms_vanish = True
             for k, w, rest in terms_in:
-                sub = k <= n and pt_coeff_from_gv(minus, n - k, rest, gv, memo_minus)
+                sub = k <= n and _scaled_pt(minus, n - k, rest, gv, memo_minus)
                 if sub:
                     id_wcf += math.perm(n, k) * w * sub
                     if k == 1:
                         active_k1 += 1
                     else:
                         higher_terms_vanish = False
-            mspace = Fraction(0)
+            mspace = 0
             for mult, rest in wall_in:
-                sub = pt_coeff_from_gv(minus, n - 1, rest, gv, memo_minus)
+                sub = n and _scaled_pt(minus, n - 1, rest, gv, memo_minus)
                 if sub:
                     mspace += n * mult * sub
             simple = active_k1 == 1 and higher_terms_vanish
             row_ok = jump == id_wcf and (not simple or jump == mspace)
             all_ok = all_ok and row_ok
             if jump or id_wcf or mspace or simple:
+                den = scale_d**n * scale_e * scale_w
                 rows.append(
                     {
                         "n": n,
                         "beta": list(beta),
-                        "jump": frac_str(jump),
-                        "id_wcf": frac_str(id_wcf),
-                        "mspace": frac_str(mspace),
+                        "jump": frac_str(Fraction(jump, den)),
+                        "id_wcf": frac_str(Fraction(id_wcf, den)),
+                        "mspace": frac_str(Fraction(mspace, den)),
                         "simple_wall": simple,
                         "ok": row_ok,
                     }

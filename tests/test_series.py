@@ -5,6 +5,7 @@ predicates, and Gromov-Witten conversions."""
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -575,13 +576,19 @@ def test_series_multiplication_truncates_consistently():
 # -- the truncated exponential ------------------------------------------------------------
 
 
-def random_series_without_constant(rng, lattice, nmax):
+def random_series_without_constant(rng, lattice, nmax, den=3):
+    """Coefficients p/q with |p| <= 3 and q drawn from 1..den."""
     coeffs = {}
     for beta in lattice.classes():
         for n in range(nmax + 1):
             if (n or any(beta)) and rng.random() < 0.3:
-                coeffs[(n, beta)] = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+                coeffs[(n, beta)] = Fraction(rng.randint(-3, 3), rng.randint(1, den))
     return TruncatedSeries(lattice, nmax, coeffs)
+
+
+def common_den(values):
+    """The lcm of the denominators of some Fractions (1 for none)."""
+    return math.lcm(*(v.denominator for v in values))
 
 
 def test_exp_of_a_sum_is_the_product_of_exps():
@@ -641,25 +648,29 @@ def reference_macmahon_loop(order):
 
 
 def test_exp_matches_the_power_sum_reference():
+    # denominators up to 3, then up to 9, so that the series' own common
+    # denominator and those of the weight levels are rarely 1 or 2
     rng = random.Random(309)
-    ranks, mixed = set(), 0
-    for _ in range(60):
+    ranks, mixed, wide = set(), 0, 0
+    for case in range(120):
         rank = rng.randint(1, 3)
         omega = tuple(rng.randint(1, 2) for _ in range(rank))
         lattice = ClassLattice(rank, omega, rng.randint(1, 7 if rank < 3 else 5))
         nmax = rng.randint(0, 4)
-        series = random_series_without_constant(rng, lattice, nmax)
+        series = random_series_without_constant(rng, lattice, nmax, 3 if case < 60 else 9)
         ranks.add(rank)
         mixed += len({n > 0 for n, _ in series.coeffs}) == 2
+        wide += common_den(series.coeffs.values()) > 2 and common_den(
+            _exp(series).coeffs.values()) > 2
         assert _exp(series) == reference_power_sum_exp(series), (lattice, nmax)
         zero = TruncatedSeries(lattice, nmax)
         assert _exp(zero) == reference_power_sum_exp(zero) == TruncatedSeries.one(lattice, nmax)
-    assert ranks == {1, 2, 3} and mixed >= 10
+    assert ranks == {1, 2, 3} and mixed >= 10 and wide >= 40
 
 
 def test_macmahon_matches_its_former_loop():
-    expected = reference_macmahon_loop(80)
-    for order in range(81):
+    expected = reference_macmahon_loop(120)
+    for order in range(121):
         coeffs = macmahon(order)
         assert coeffs == expected[: order + 1], order
         assert all(type(c) is Fraction for c in coeffs)
@@ -711,17 +722,19 @@ def reference_mul(a, b):
     return TruncatedSeries(lattice, a.nmax, out)
 
 
-def random_rank_table(rng, rank):
-    """A table of the given rank, fractional n0, explicit or synthesized p0."""
+def random_rank_table(rng, rank, den=None):
+    """A table of the given rank, fractional n0, explicit or synthesized p0:
+    n0 denominators from 1..3, n1 ones from 1..2 and an integer p0, or, with
+    ``den``, all three drawn from 1..den."""
     omega = tuple(rng.randint(1, 2) for _ in range(rank))
     lattice = ClassLattice(rank, omega, rng.randint(2, 6 if rank < 3 else 4))
-    n0 = {beta: Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+    n0 = {beta: Fraction(rng.randint(-3, 3), rng.randint(1, den or 3))
           for beta in lattice.positive_classes() if rng.random() < 0.5}
     if rng.random() < 0.5:
-        p0 = {beta: Fraction(rng.randint(-2, 3)) for beta in lattice.classes()
-              if rng.random() < 0.4}
+        p0 = {beta: Fraction(rng.randint(-2, 3), rng.randint(1, den) if den else 1)
+              for beta in lattice.classes() if rng.random() < 0.4}
         return GVTable(lattice, n0=n0, p0=p0)
-    n1 = {beta: Fraction(rng.randint(-2, 2), rng.choice([1, 2]))
+    n1 = {beta: Fraction(rng.randint(-2, 2), rng.randint(1, den or 2))
           for beta in lattice.positive_classes() if rng.random() < 0.4}
     return GVTable(lattice, n0=n0, n1=n1)
 
@@ -739,14 +752,64 @@ def chambers(gv):
     return out
 
 
+def reference_wall_jump_check(t0, gv, nmax):
+    """wall_jump_check as it summed the jump formula in Fractions, over the
+    former recursion and product, to nmax (the rows past the top y-degree
+    are zero and not listed)."""
+    plus, minus = TParam.plus(t0), TParam.minus(t0)
+    wall = wall_factor_series(t0, gv, nmax)
+    series_ok = pt_series_from_gv(plus, gv, nmax) == reference_mul(
+        wall, pt_series_from_gv(minus, gv, nmax))
+    memo_plus, memo_minus = {}, {}
+    rows, all_ok = [], series_ok
+    for beta in gv.lattice.classes():
+        for n in range(nmax + 1):
+            jump = (reference_pt_coeff(plus, n, beta, gv, memo_plus)
+                    - reference_pt_coeff(minus, n, beta, gv, memo_minus))
+            id_wcf, active_k1, higher_terms_vanish = Fraction(0), 0, True
+            for (k, b2), w in wall.coeffs.items():
+                rest = tuple(b - g for b, g in zip(beta, b2))
+                if 1 <= k <= n and min(rest) >= 0:
+                    sub = reference_pt_coeff(minus, n - k, rest, gv, memo_minus)
+                    if sub:
+                        id_wcf += math.perm(n, k) * w * sub
+                        active_k1 += k == 1
+                        higher_terms_vanish = higher_terms_vanish and k == 1
+            mspace = Fraction(0)
+            for b2 in wall_classes(t0, gv):
+                rest = tuple(b - g for b, g in zip(beta, b2))
+                if min(rest) >= 0:
+                    sub = reference_pt_coeff(minus, n - 1, rest, gv, memo_minus)
+                    mspace += n * gv.n0[b2] * sub
+            simple = active_k1 == 1 and higher_terms_vanish
+            row_ok = jump == id_wcf and (not simple or jump == mspace)
+            all_ok = all_ok and row_ok
+            if jump or id_wcf or mspace or simple:
+                rows.append({"n": n, "beta": list(beta), "jump": str(jump),
+                             "id_wcf": str(id_wcf), "mspace": str(mspace),
+                             "simple_wall": simple, "ok": row_ok})
+    return {"t0": str(t0), "wall_classes": [list(b) for b in wall_classes(t0, gv)],
+            "series_identity_ok": series_ok, "coefficients": rows, "ok": all_ok}
+
+
 def test_recursion_and_product_match_the_former_walks():
+    # 45 tables with small denominators, then 45 with n0, n1 and p0
+    # denominators up to 9, so that the scales D (of n0), E (of P(0, beta))
+    # and K_W (of each wall series) are rarely 1 or 2
     rng = random.Random(310)
-    seen = set()
-    for case in range(45):
+    seen, wide = set(), {"D": 0, "E": 0, "K_W": 0}
+    for case in range(90):
         rank = case % 3 + 1
-        gv = random_rank_table(rng, rank)
+        gv = random_rank_table(rng, rank, None if case < 45 else 9)
         nmax = rng.randint(1, 4)
-        seen.add((rank, gv.p0 is None))
+        seen.add((rank, gv.p0 is None, case < 45))
+        wide["D"] += common_den(gv.n0.values()) > 2
+        wide["E"] += common_den(gv.p0_value(b) for b in gv.lattice.classes()) > 2
+        for d in sorted({gv.lattice.deg(beta) for beta in gv.n0}):
+            t0 = Fraction(1, d)
+            wide["K_W"] += common_den(wall_factor_series(t0, gv, nmax).coeffs.values()) > 2
+            assert wall_jump_check(t0, gv, nmax) == reference_wall_jump_check(
+                t0, gv, nmax), (case, t0)
         for t in chambers(gv):
             memo, reference = {}, {}
             for beta in gv.lattice.classes():
@@ -758,10 +821,13 @@ def test_recursion_and_product_match_the_former_walks():
             active = {(1, b): v for b, v in gv.n0.items() if t.admits(gv.lattice.deg(b))}
             assert pt_series_from_gv(t, gv, nmax) == reference_mul(
                 p0, _exp(TruncatedSeries(gv.lattice, nmax, active)))
-        a = random_series_without_constant(rng, gv.lattice, nmax)
-        b = random_series_without_constant(rng, gv.lattice, nmax) + p0
+        den = 3 if case < 45 else 9
+        a = random_series_without_constant(rng, gv.lattice, nmax, den)
+        b = random_series_without_constant(rng, gv.lattice, nmax, den) + p0
         assert a * b == reference_mul(a, b) and b * a == reference_mul(b, a)
-    assert seen == {(r, synthesized) for r in (1, 2, 3) for synthesized in (False, True)}
+    assert seen == {(r, synthesized, small) for r in (1, 2, 3)
+                    for synthesized in (False, True) for small in (False, True)}
+    assert min(wide.values()) >= 20, wide
 
 
 def test_exact_parameter_on_a_wall_raises_where_the_former_walk_did():
@@ -785,6 +851,13 @@ def test_exact_parameter_on_a_wall_raises_where_the_former_walk_did():
                     else:
                         assert pt_coeff_from_gv(t, n, beta, gv, {}) == expected
     assert raised >= 100
+
+
+def test_recursion_runs_deeper_than_the_interpreter_stack():
+    # with a cold memo, n steps of the walk are under way at once
+    n = max(1100, sys.getrecursionlimit() + 100)
+    gv = GVTable(ClassLattice(1, (1,), n), n0={(1,): 1}, p0={(0,): 1})
+    assert pt_coeff_from_gv(TParam.infinity(), n, (n,), gv) == 1
 
 
 def test_exact_parameter_on_a_wall_is_quiet_below_it():
