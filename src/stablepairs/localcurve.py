@@ -27,7 +27,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from multiprocessing import Pool
 
 from .equivariant import (
     EqLineBundleP1,
@@ -37,7 +36,14 @@ from .equivariant import (
     chi_p1_line,
     euler_factored,
 )
-from .ratfun import FactoredRatFun, Poly, RatFun, ratfun_str, sum_factored
+from .ratfun import (
+    FactoredRatFun,
+    PoleOrderError,
+    Poly,
+    RatFun,
+    ratfun_str,
+    sum_factored,
+)
 
 __all__ = [
     "GEOM_STANDARD",
@@ -301,6 +307,8 @@ def _ordered_map(fn, items, jobs):
     if workers == 1:
         yield from map(fn, items)
         return
+    from multiprocessing import Pool  # only here: the import costs every command
+
     with Pool(processes=workers) as pool:
         # the chunk size Pool.map would choose
         yield from pool.imap(fn, items, -(-len(items) // (4 * workers)))
@@ -453,17 +461,22 @@ def _residue_term(d0, d1):
     return FactoredRatFun.product(scalar, factors)
 
 
-def _at_l3_one(term):
-    """A residue term at l3 = 1: scalar / prod(l0 + j), the product expanded
-    in ints.  Its numerator is constant and its forms are distinct, so it is
-    already reduced."""
-    den = [1]  # coefficients in l0, lowest power first
-    for _, _, _, j in term.forms:
-        den = [low + j * c for low, c in zip([0] + den, den + [0])]
-    return RatFun._trusted(
-        Poly.constant(term.scalar, 4),
-        Poly(4, {(power, 0, 0, 0): c for power, c in enumerate(den)}),
-    )
+def _residues_at_l3_one(term, d):
+    """{m: residue at l0 = m} of a residue summand at l3 = 1.
+
+    The summand must be scalar / prod_j (l0 + j l3) over distinct j with -j
+    in [-d, d]: each form (1, 0, 0, j) with exponent -1.  Its poles are then
+    simple, at m = -j, with residue scalar / prod_{k != j} (k - j), one int
+    product per pole.  Any other factor raises PoleOrderError.
+    """
+    js = []
+    for form, e in term.forms.items():
+        if e != -1 or form != (1, 0, 0, form[-1]) or not -d <= form[-1] <= d:
+            raise PoleOrderError(
+                f"summand factor {form}^{e} is not a simple pole l0 + j l3 with |j| <= {d}"
+            )
+        js.append(form[-1])
+    return {-j: term.scalar / math.prod(k - j for k in js if k != j) for j in js}
 
 
 def _printed_residue_total(m, d):
@@ -485,22 +498,20 @@ def residue_vanishing_check(d):
 
     The l3 = 1 specialization Phi(l0) of l3^(2d) * P(2d, d) is a sum over
     ordered (d0, d1) with d0 + d1 = d of simple-pole terms.  The check: every
-    summand has only simple poles at integers m in [-d, d]; the residues of
-    Phi there all vanish (matching the printed closed form, which vanishes by
-    the j -> -j antisymmetry of its reindexed summands); and Phi itself is
-    identically zero.
+    summand, read off its factor list, has only simple poles at integers m in
+    [-d, d] (else PoleOrderError); the residues of Phi there, summed exactly
+    from one int product per summand and pole, all vanish (matching the
+    printed closed form, which vanishes by the j -> -j antisymmetry of its
+    reindexed summands); and Phi itself is identically zero.
     """
-    from .ratfun import residue_at  # local import keeps module init light
-
     terms = [_residue_term(d - d1, d1) for d1 in range(d + 1)]
-    summands = [_at_l3_one(term) for term in terms]
+    totals = dict.fromkeys(range(-d, d + 1), Fraction(0))
+    for term in terms:
+        for m, residue in _residues_at_l3_one(term, d).items():
+            totals[m] += residue
     pole_rows = []
     ok = True
-    for m in range(-d, d + 1):
-        total = RatFun.zero()
-        for f in summands:
-            total = total + residue_at(f, m)
-        res = total.as_fraction()
+    for m, res in totals.items():
         printed = (
             _printed_residue_total(m, d) if m >= 0 else -_printed_residue_total(-m, d)
         )

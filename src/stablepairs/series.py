@@ -72,6 +72,11 @@ __all__ = [
 
 Beta = tuple  # tuple of nonnegative ints
 
+# the values of P(0, beta) lookups that find no entry; a Fraction is
+# immutable, so every caller can share one
+_FRACTION_ZERO = Fraction(0)
+_FRACTION_ONE = Fraction(1)
+
 
 class WallError(ValueError):
     """The stability parameter sits exactly on a wall and no side was chosen."""
@@ -208,11 +213,16 @@ def _bounded_lattice(rank, omega, dmax, classes):
 
 @dataclass(frozen=True)
 class ClassLattice:
-    """Effective classes: tuples in Z^rank with degree omega . beta <= dmax."""
+    """Effective classes: tuples in Z^rank with degree omega . beta <= dmax.
+
+    The sorted classes are built on first use and kept as a tuple, which
+    takes no part in equality.
+    """
 
     rank: int
     omega: tuple
     dmax: int
+    _classes: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "omega", tuple(int(w) for w in self.omega))
@@ -231,11 +241,13 @@ class ClassLattice:
 
     def classes(self):
         """All effective classes of degree <= dmax (zero included), sorted by
-        (degree, tuple)."""
-        box = itertools.product(*(range(self.dmax // w + 1) for w in self.omega))
-        return sorted(
-            (b for b in box if self.deg(b) <= self.dmax), key=lambda b: (self.deg(b), b)
-        )
+        (degree, tuple); a new list on each call."""
+        if self._classes is None:
+            box = itertools.product(*(range(self.dmax // w + 1) for w in self.omega))
+            object.__setattr__(self, "_classes", tuple(sorted(
+                (b for b in box if self.deg(b) <= self.dmax), key=lambda b: (self.deg(b), b)
+            )))
+        return list(self._classes)
 
     def positive_classes(self):
         return [b for b in self.classes() if any(b)]
@@ -348,8 +360,8 @@ class GVTable:
         if self.p0 is not None:
             if beta in self.p0:
                 return self.p0[beta]
-            return Fraction(1) if not any(beta) else Fraction(0)
-        return self._synthesized_p0().get(beta, Fraction(0))
+            return _FRACTION_ZERO if any(beta) else _FRACTION_ONE
+        return self._synthesized_p0().get(beta, _FRACTION_ZERO)
 
     def _synthesized_p0(self):
         """exp of the log series sum_beta n1(beta) sum_k logM_k q^(k beta)."""

@@ -34,9 +34,17 @@ gv = series.GVTable(lattice, n0={(1,): 1, (2,): 2})
 series.wall_jump_check(Fraction(1, 2), gv, 2)
 metrics = spans.layer_metrics(tracer, time.perf_counter() - start)
 names = [span[1] for span in tracer.spans]
+
+def ancestors(parent):
+    while parent is not None:
+        yield names[parent]
+        parent = tracer.spans[parent][4]
+
 print(json.dumps({
     "spans": [[name, None if parent is None else names[parent]]
               for _, name, _, _, parent, _ in tracer.spans],
+    "ancestors": [[name, list(ancestors(parent))]
+                  for _, name, _, _, parent, _ in tracer.spans],
     "metrics": metrics,
 }))
 """
@@ -63,12 +71,16 @@ def test_traced_calls_reach_every_wrapped_function():
         ("localcurve.closed_form", "localcurve.verify_conjecture"),
         ("ratfun.sum_factored", "localcurve.closed_form"),
         ("localcurve.residue_check", None),
-        ("ratfun.residue_at", "localcurve.residue_check"),
-        ("ratfun.ratfun_add", "localcurve.residue_check"),
+        ("ratfun.sum_factored", "localcurve.residue_check"),
         ("series.wall_jump", None),
         ("series.pt_series", "series.wall_jump"),
     ]:
         assert (child, parent) in pairs, (child, parent)
+    # the certificate's residues are int products: no generic RatFun step
+    # runs anywhere beneath it
+    under_residue_check = {name for name, above in report["ancestors"]
+                           if "localcurve.residue_check" in above}
+    assert not under_residue_check & {"ratfun.residue_at", "ratfun.ratfun_add"}
     metrics = report["metrics"]
     # (4,2) and degree one at n = 3 have 3 fixed points each; the sweep's
     # (1,1) and (2,1) have 1 and 2

@@ -1,6 +1,9 @@
 """Local-curve invariants: fixed-point enumeration, obstruction square roots,
 the invariants P(n, d) two ways, conjecture sweeps, residues, homogeneity."""
 
+import contextlib
+import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -32,11 +35,18 @@ from stablepairs.localcurve import (
     orientation_sign,
     residue_vanishing_check,
     verify_conjecture,
-    _at_l3_one,
     _residue_term,
+    _residues_at_l3_one,
     _worker_count,
 )
-from stablepairs.ratfun import Poly, RatFun, ratfun_str, residue_at
+from stablepairs.ratfun import (
+    FactoredRatFun,
+    PoleOrderError,
+    Poly,
+    RatFun,
+    ratfun_str,
+    residue_at,
+)
 
 L = [Poly.variable(i, 4) for i in range(4)]
 
@@ -293,7 +303,7 @@ def test_each_call_starts_at_most_one_pool(monkeypatch):
 
     expected_sweep = verify_conjecture(2, 3)
     expected_value = js_invariant_enumerated(6, 2, audit=True)
-    monkeypatch.setattr("stablepairs.localcurve.Pool", SerialPool)
+    monkeypatch.setattr("multiprocessing.Pool", SerialPool)
     monkeypatch.setattr("stablepairs.localcurve.os.cpu_count", lambda: 2)
     # the sweep spreads whole rows; each row computes in process
     assert verify_conjecture(2, 3, jobs=4) == expected_sweep
@@ -319,12 +329,26 @@ def test_report_shape():
 # -- residue certificate ---------------------------------------------------------------
 
 
+def at_l3_one(term):
+    """A residue summand at l3 = 1 as a RatFun: scalar / prod(l0 + j), the
+    product expanded in ints.  Its numerator is constant and its forms are
+    distinct, so it is already reduced; residue_at on it is the oracle for
+    the certificate's int residues."""
+    den = [1]  # coefficients in l0, lowest power first
+    for _, _, _, j in term.forms:
+        den = [low + j * c for low, c in zip([0] + den, den + [0])]
+    return RatFun._trusted(
+        Poly.constant(term.scalar, 4),
+        Poly(4, {(power, 0, 0, 0): c for power, c in enumerate(den)}),
+    )
+
+
 def test_residue_summands_frozen_at_first_pole():
     # d = 2, pole at m = 1, summands ordered by d1 = 0, 1, 2
-    values = [
-        residue_at(_at_l3_one(_residue_term(2 - d1, d1)), 1).as_fraction() for d1 in range(3)
-    ]
-    assert values == [Fraction(0), Fraction(-1, 2), Fraction(1, 2)]
+    terms = [_residue_term(2 - d1, d1) for d1 in range(3)]
+    expected = [Fraction(0), Fraction(-1, 2), Fraction(1, 2)]
+    assert [residue_at(at_l3_one(term), 1).as_fraction() for term in terms] == expected
+    assert [_residues_at_l3_one(term, 2).get(1, 0) for term in terms] == expected
 
 
 def test_residue_summands_equal_the_reduced_generic_fraction():
@@ -340,7 +364,54 @@ def test_residue_summands_equal_the_reduced_generic_fraction():
             den = one
             for j in range(-d1, d0 + 1):
                 den = den * (L[0] + one * j)
-            assert _at_l3_one(_residue_term(d0, d1)) == RatFun(num, den), (d0, d1)
+            assert at_l3_one(_residue_term(d0, d1)) == RatFun(num, den), (d0, d1)
+
+
+def test_int_residues_match_residue_at_on_every_summand():
+    """Every summand's int residue at every integer m in [-d, d], d <= 20,
+    equals residue_at on its l3 = 1 expansion; it has no pole elsewhere."""
+    for d in range(1, 21):
+        for d1 in range(d + 1):
+            term = _residue_term(d - d1, d1)
+            residues = _residues_at_l3_one(term, d)
+            assert len(residues) == d and set(residues) <= set(range(-d, d + 1))
+            f = at_l3_one(term)
+            for m in range(-d, d + 1):
+                assert residues.get(m, 0) == residue_at(f, m).as_fraction(), (d, d1, m)
+
+
+def test_residue_certificate_runs_no_poly_or_ratfun_arithmetic(monkeypatch):
+    from stablepairs.cli import main
+
+    def tripwire(*args):
+        raise AssertionError("Poly or RatFun arithmetic on the residues path")
+
+    monkeypatch.setattr("stablepairs.ratfun.residue_at", tripwire)
+    for cls in (Poly, RatFun):
+        for op in ("__add__", "__sub__", "__mul__", "__neg__", "__pow__"):
+            monkeypatch.setattr(cls, op, tripwire)
+    monkeypatch.setattr(RatFun, "__truediv__", tripwire)
+    for d in range(1, 21):
+        assert residue_vanishing_check(d)["ok"], d
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["residues", "--d", "7", "--format", "json"]) == 0
+    assert json.loads(out.getvalue())["ok"]
+
+
+@pytest.mark.parametrize("change", [
+    lambda forms: {**forms, (1, 0, 0, 0): forms[1, 0, 0, 0] - 1},  # a doubled form
+    lambda forms: {**forms, (1, 1, 0, 0): -1},  # a form involving l1
+    lambda forms: {**forms, (1, 0, 0, -4): -1},  # a pole at m = 4 > d
+    lambda forms: {**forms, (1, 0, 0, 3): 1},  # a numerator form left over
+])
+def test_residue_certificate_refuses_a_non_simple_summand(monkeypatch, change):
+    def changed(d0, d1):
+        term = _residue_term(d0, d1)
+        return FactoredRatFun(term.scalar, change(term.forms)) if d1 == 1 else term
+
+    monkeypatch.setattr("stablepairs.localcurve._residue_term", changed)
+    with pytest.raises(PoleOrderError):
+        residue_vanishing_check(3)
 
 
 def test_residue_certificate_fails_on_a_doubled_summand(monkeypatch):

@@ -86,6 +86,17 @@ def test_lattice_enumeration_is_sorted_by_degree():
     assert lattice.positive_classes() == [b for b in classes if lattice.deg(b) > 0]
 
 
+def test_lattice_keeps_its_classes_out_of_equality():
+    lattice = ClassLattice(2, (1, 2), 5)
+    classes = lattice.classes()
+    classes.append((9, 9))
+    classes[0] = (7, 7)
+    assert lattice.classes() == ClassLattice(2, (1, 2), 5).classes()
+    assert lattice == ClassLattice(2, (1, 2), 5)
+    assert hash(lattice) == hash(ClassLattice(2, (1, 2), 5))
+    assert repr(lattice) == "ClassLattice(rank=2, omega=(1, 2), dmax=5)"
+
+
 def test_lattice_sub_classes():
     lattice = ClassLattice(1, (1,), 4)
     assert lattice.sub_classes((3,)) == [(1,), (2,)]
