@@ -36,14 +36,7 @@ from .equivariant import (
     chi_p1_line,
     euler_factored,
 )
-from .ratfun import (
-    FactoredRatFun,
-    PoleOrderError,
-    Poly,
-    RatFun,
-    ratfun_str,
-    sum_factored,
-)
+from .ratfun import FactoredRatFun, PoleOrderError, Poly, RatFun, ratfun_str, sum_factored
 
 __all__ = [
     "GEOM_STANDARD",
@@ -307,8 +300,7 @@ def _ordered_map(fn, items, jobs):
     if workers == 1:
         yield from map(fn, items)
         return
-    from multiprocessing import Pool  # only here: the import costs every command
-
+    from multiprocessing import Pool  # here, not at the top: it slows every import
     with Pool(processes=workers) as pool:
         # the chunk size Pool.map would choose
         yield from pool.imap(fn, items, -(-len(items) // (4 * workers)))
@@ -462,19 +454,14 @@ def _residue_term(d0, d1):
 
 
 def _residues_at_l3_one(term, d):
-    """{m: residue at l0 = m} of a residue summand at l3 = 1.
-
-    The summand must be scalar / prod_j (l0 + j l3) over distinct j with -j
-    in [-d, d]: each form (1, 0, 0, j) with exponent -1.  Its poles are then
-    simple, at m = -j, with residue scalar / prod_{k != j} (k - j), one int
-    product per pole.  Any other factor raises PoleOrderError.
-    """
+    """{m: residue at l0 = m} of a residue summand at l3 = 1, which must be
+    scalar / prod_j (l0 + j l3) over distinct j in [-d, d] (else
+    PoleOrderError): at m = -j, scalar / prod_{k != j} (k - j)."""
     js = []
     for form, e in term.forms.items():
         if e != -1 or form != (1, 0, 0, form[-1]) or not -d <= form[-1] <= d:
             raise PoleOrderError(
-                f"summand factor {form}^{e} is not a simple pole l0 + j l3 with |j| <= {d}"
-            )
+                f"summand factor {form}^{e} is not (l0 + j l3)^-1 with |j| <= {d}")
         js.append(form[-1])
     return {-j: term.scalar / math.prod(k - j for k in js if k != j) for j in js}
 

@@ -72,8 +72,7 @@ __all__ = [
 
 Beta = tuple  # tuple of nonnegative ints
 
-# the values of P(0, beta) lookups that find no entry; a Fraction is
-# immutable, so every caller can share one
+# P(0, beta) for classes without an entry, shared: a Fraction is immutable
 _FRACTION_ZERO = Fraction(0)
 _FRACTION_ONE = Fraction(1)
 
@@ -213,11 +212,8 @@ def _bounded_lattice(rank, omega, dmax, classes):
 
 @dataclass(frozen=True)
 class ClassLattice:
-    """Effective classes: tuples in Z^rank with degree omega . beta <= dmax.
-
-    The sorted classes are built on first use and kept as a tuple, which
-    takes no part in equality.
-    """
+    """Effective classes: tuples in Z^rank with degree omega . beta <= dmax;
+    classes() sorts them once and keeps them outside equality."""
 
     rank: int
     omega: tuple

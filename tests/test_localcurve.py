@@ -388,9 +388,10 @@ def test_residue_certificate_runs_no_poly_or_ratfun_arithmetic(monkeypatch):
 
     monkeypatch.setattr("stablepairs.ratfun.residue_at", tripwire)
     for cls in (Poly, RatFun):
-        for op in ("__add__", "__sub__", "__mul__", "__neg__", "__pow__"):
-            monkeypatch.setattr(cls, op, tripwire)
-    monkeypatch.setattr(RatFun, "__truediv__", tripwire)
+        for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                   "__truediv__", "__rtruediv__", "__neg__", "__pow__"):
+            if hasattr(cls, op):
+                monkeypatch.setattr(cls, op, tripwire)
     for d in range(1, 21):
         assert residue_vanishing_check(d)["ok"], d
     with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -399,11 +400,11 @@ def test_residue_certificate_runs_no_poly_or_ratfun_arithmetic(monkeypatch):
 
 
 @pytest.mark.parametrize("change", [
-    lambda forms: {**forms, (1, 0, 0, 0): forms[1, 0, 0, 0] - 1},  # a doubled form
-    lambda forms: {**forms, (1, 1, 0, 0): -1},  # a form involving l1
-    lambda forms: {**forms, (1, 0, 0, -4): -1},  # a pole at m = 4 > d
-    lambda forms: {**forms, (1, 0, 0, 3): 1},  # a numerator form left over
-])
+    lambda forms: {**forms, (1, 0, 0, 0): forms[1, 0, 0, 0] - 1},
+    lambda forms: {**forms, (1, 1, 0, 0): -1},
+    lambda forms: {**forms, (1, 0, 0, -4): -1},  # m = 4 > d
+    lambda forms: {**forms, (1, 0, 0, 3): 1},
+], ids=["doubled_form", "form_with_l1", "pole_outside_the_range", "numerator_form_left"])
 def test_residue_certificate_refuses_a_non_simple_summand(monkeypatch, change):
     def changed(d0, d1):
         term = _residue_term(d0, d1)
