@@ -16,17 +16,19 @@ Canonical forms
 
 A factored fast path (:class:`FactoredRatFun`, :func:`sum_factored`) handles
 the hot loops, where every factor is a linear form: products are kept as
-multisets of primitive linear forms plus a rational scalar.  A sum lifts
-every term to the common denominator and expands the numerators by Kronecker
-substitution: a homogeneous polynomial of degree N drops its last variable
-(implied by N) and maps l_i to X**stride_i with X = 2**bits, so it becomes a
-single Python int and a product of linear forms is a few big-int
-multiplications.  The radix comes from a rigorous coefficient bound, the sum
-of |scalar| * prod(||form||_1 ** lift), so the balanced base-X digits of the
-packed sum are exactly its coefficients.  The result is then reduced by trial
-division against each denominator form instead of generic polynomial gcd.
-That gcd (:func:`poly_gcd`, by subresultants) is the reduction of general
-``RatFun`` arithmetic and the tests' oracle; no ``stablepairs`` command reaches it.
+multisets of primitive linear forms plus a rational scalar.  A sum expands
+the numerators by Kronecker substitution and adds them as a tree of halves,
+each over its own denominator, so a term is lifted toward the common
+denominator only where halves meet.  A homogeneous polynomial of degree N
+drops its last variable (implied by N) and maps l_i to X**stride_i with
+X = 2**bits, so it becomes a single Python int and a product of linear forms
+is a few big-int multiplications.  The radix comes from a rigorous
+coefficient bound, the sum of |scalar| * prod(||form||_1 ** lift), so the
+balanced base-X digits of the packed sum are exactly its coefficients.  The
+result is then reduced by trial division against each denominator form
+instead of generic polynomial gcd.  That gcd (:func:`poly_gcd`, by
+subresultants) is the reduction of general ``RatFun`` arithmetic and the
+tests' oracle; no ``stablepairs`` command reaches it.
 """
 from __future__ import annotations
 
@@ -880,11 +882,14 @@ def _kronecker_sum(products, need, arity):
     Every lifted product is homogeneous of one total degree N.  The last
     variable the forms use is then implied by the others and set to 1; the
     rest map to powers X**stride with X = 2**bits, strides from per-variable
-    exponent bounds, so every product packs into one Python int and the sum
-    is one int add per product.  The l1 norm is submultiplicative, so no
-    coefficient of the sum exceeds B = sum(|scalar| * prod(||form||_1 **
-    lift)) < 2**(bits - 1), and the balanced base-X digits of the packed sum
-    are exactly its coefficients.
+    exponent bounds, so every product packs into one Python int.  Packing
+    is a ring homomorphism, so the packed sum may be formed in any order: as
+    a tree of halves (binary splitting), each half over its own denominator
+    exponents, lifted to the larger of the two where they meet and to need
+    at the root.  The l1 norm is submultiplicative, so no coefficient of the
+    sum exceeds B = sum(|scalar| * prod(||form||_1 ** lift)) < 2**(bits - 1),
+    and the balanced base-X digits of the packed sum are exactly its
+    coefficients.
     """
     degree = sum(need.values()) + sum(products[0][1].values())
     forms = set(need)
@@ -908,15 +913,33 @@ def _kronecker_sum(products, need, arity):
         for f in forms
     }
     powers = {}
-    total = 0
-    for scalar, exponents in products:
-        value = scalar
-        for key in _lifts(exponents, need).items():
-            power = powers.get(key)
-            if power is None:
-                power = powers[key] = packed_forms[key[0]] ** key[1]
-            value *= power
-        total += value
+
+    def lifted(value, den, to):
+        """value * prod(form ** (to[form] - den[form])), from cached powers."""
+        for form, e in to.items():
+            missing = e - den.get(form, 0)
+            if missing:
+                power = powers.get((form, missing))
+                if power is None:
+                    power = powers[form, missing] = packed_forms[form] ** missing
+                value *= power
+        return value
+
+    def split_sum(lo, hi):
+        """(N, den) with sum of products[lo:hi] = N / prod(form ** den[form]):
+        binary splitting, each half over its own denominator exponents."""
+        if hi - lo == 1:
+            scalar, exponents = products[lo]
+            den = {form: -e for form, e in exponents.items() if e < 0}
+            return lifted(scalar, {}, {f: e for f, e in exponents.items() if e > 0}), den
+        mid = (lo + hi) // 2
+        left, left_den = split_sum(lo, mid)
+        right, right_den = split_sum(mid, hi)
+        den = left_den | {f: max(e, left_den.get(f, 0)) for f, e in right_den.items()}
+        return lifted(left, left_den, den) + lifted(right, right_den, den), den
+
+    total, den = split_sum(0, len(products))
+    total = lifted(total, den, need)
     coeffs = {}
     mask, half = (1 << bits) - 1, 1 << (bits - 1)
     position = 0

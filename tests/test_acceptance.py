@@ -16,6 +16,10 @@ from fractions import Fraction
 from stablepairs.cli import main as cli_main
 from stablepairs.equivariant import SplitGeometry, check_square_root
 from stablepairs.localcurve import (
+    GEOM_STANDARD,
+    _contribution_d1,
+    _contribution_general,
+    d1_fixed_points,
     enumerate_fixed_points,
     expected_conjecture_value,
     full_obstruction_general,
@@ -25,7 +29,7 @@ from stablepairs.localcurve import (
     js_invariant_enumerated,
     residue_vanishing_check,
 )
-from stablepairs.ratfun import Poly, RatFun
+from stablepairs.ratfun import FactoredRatFun, Poly, RatFun
 from stablepairs.series import (
     ClassLattice,
     GVTable,
@@ -90,6 +94,16 @@ def test_criterion_2_closed_formula_matches_enumeration():
     assert time.perf_counter() - start < 60.0
 
 
+VANISHING_FAMILIES = {
+    "d=1, n<=30": [(n, 1) for n in range(2, 31)],
+    "d=2, n<=30": [(n, 2) for n in range(1, 31) if n != 2],
+    "d=3, n<=30": [(n, 3) for n in range(1, 31) if n != 3],
+    "d=4, n<=24": [(n, 4) for n in range(1, 25) if n != 4],
+    "n=2d, d<=12": [(2 * d, d) for d in range(1, 13)],
+    "n=3d, d<=8": [(3 * d, d) for d in range(1, 9)],
+}
+
+
 def test_criterion_3_conjecture_sweep():
     # diagonal values: P(d, d) = 1 / (d! * lam3^d)
     start = time.perf_counter()
@@ -102,19 +116,82 @@ def test_criterion_3_conjecture_sweep():
     assert time.perf_counter() - start < 600.0
 
     # vanishing families, each within its own time budget
-    families = {
-        "d=1, n<=30": [(n, 1) for n in range(2, 31)],
-        "d=2, n<=30": [(n, 2) for n in range(1, 31) if n != 2],
-        "d=3, n<=30": [(n, 3) for n in range(1, 31) if n != 3],
-        "d=4, n<=24": [(n, 4) for n in range(1, 25) if n != 4],
-        "n=2d, d<=12": [(2 * d, d) for d in range(1, 13)],
-        "n=3d, d<=8": [(3 * d, d) for d in range(1, 9)],
-    }
-    for label, spots in families.items():
+    for label, spots in VANISHING_FAMILIES.items():
         start = time.perf_counter()
         for n, d in spots:
             assert js_invariant_enumerated(n, d).value == RatFun.zero(), (label, n, d)
         assert time.perf_counter() - start < 600.0, label
+
+
+P61 = 2**61 - 1
+
+
+def form_at(form, point):
+    value = sum(c * x for c, x in zip(form, point)) % P61
+    assert value, f"the point lies on the form {form}"
+    return value
+
+
+def poly_at(poly, point):
+    """poly(point) mod P61, in ints."""
+    total = 0
+    for mono, c in poly.coeffs.items():
+        term = c.numerator * pow(c.denominator, -1, P61)
+        for x, m in zip(point, mono):
+            term = term * pow(x, m, P61) % P61
+        total += term
+    return total % P61
+
+
+def sum_agrees_mod_p(terms, value, seed):
+    """Whether sum(terms) and value agree at a seeded random point mod the
+    prime 2**61 - 1: each factored term evaluated in ints, form by form, with
+    no packing.  By Schwartz-Zippel a wrong value passes with probability at
+    most its total degree over the prime."""
+    rng = random.Random(seed)
+    point = [rng.randrange(1, P61) for _ in range(4)]
+    total = 0
+    for term in terms:
+        scalar = term.scalar
+        t = scalar.numerator * pow(scalar.denominator, -1, P61)
+        for form, e in term.forms.items():
+            t = t * pow(form_at(form, point), e, P61) % P61
+        total += t
+    num, den = poly_at(value.num, point), poly_at(value.den, point)
+    return total % P61 == num * pow(den, -1, P61) % P61
+
+
+def contributions(n, d):
+    """The factored fixed-point terms that js_invariant_enumerated sums."""
+    if d == 1:
+        return [_contribution_d1(p, GEOM_STANDARD) for p in d1_fixed_points(n)]
+    return [_contribution_general(comp) for comp in enumerate_fixed_points(n, d)]
+
+
+# the (n, d) of the benchmark's ``deep`` tiers (bench/cases.py)
+DEEP_SPOTS = [(20, 4), (27, 9), (24, 6), (30, 10), (24, 4), (25, 5), (28, 7),
+              (28, 4), (30, 6), (30, 5), (36, 9)]
+
+
+def test_criterion_3_sums_agree_mod_p_at_full_scale():
+    spots = [(d, d) for d in range(1, 7)] + DEEP_SPOTS + [(60, 4), (120, 2)]
+    for family in VANISHING_FAMILIES.values():
+        spots += family
+    for seed, (n, d) in enumerate(spots):
+        value = js_invariant_enumerated(n, d).value
+        assert sum_agrees_mod_p(contributions(n, d), value, seed), (n, d)
+
+
+def test_modular_check_catches_a_corrupted_term():
+    terms = contributions(12, 3)
+    value = js_invariant_enumerated(12, 3).value
+    assert sum_agrees_mod_p(terms, value, 0)
+    doubled = terms[:5] + [terms[5].times_scalar(2)] + terms[6:]
+    form, e = next(iter(terms[5].forms.items()))
+    shifted = FactoredRatFun(terms[5].scalar, {**terms[5].forms, form: e - 1})
+    for corrupted in (doubled, terms[:5] + terms[6:], terms[:5] + [shifted] + terms[6:]):
+        assert not sum_agrees_mod_p(corrupted, value, 0)
+    assert not sum_agrees_mod_p(terms, expected_conjecture_value(3, 3), 0)
 
 
 def test_criterion_4_residues_vanish_through_degree_20():

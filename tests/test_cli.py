@@ -17,6 +17,7 @@ import pytest
 
 from stablepairs.cli import main
 from stablepairs.equivariant import TrivialWeightError
+from stablepairs.localcurve import _POOL_MIN_FIXED_POINTS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -121,6 +122,16 @@ def test_js_output_is_identical_across_job_counts():
                  "--jobs", str(j)]) for j in (1, 4)]
     assert runs[0] == runs[1]
     assert runs[0][0] == 0
+
+
+def test_verify_above_the_pool_gate_is_identical_across_job_counts(pool_starts):
+    runs = [run(["verify", "--d-max", "4", "--ratio-max", "8", "--format", "json",
+                 "--jobs", str(j)]) for j in (1, 2)]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+    rows = json.loads(runs[0][1])["rows"]
+    assert sum(row["fixed_point_count"] for row in rows) >= _POOL_MIN_FIXED_POINTS
+    assert pool_starts == [2]
 
 
 def test_internal_errors_exit_3(monkeypatch):

@@ -37,6 +37,7 @@ from stablepairs.localcurve import (
     verify_conjecture,
     _residue_term,
     _residues_at_l3_one,
+    _POOL_MIN_FIXED_POINTS,
     _worker_count,
 )
 from stablepairs.ratfun import (
@@ -305,12 +306,32 @@ def test_each_call_starts_at_most_one_pool(monkeypatch):
     expected_value = js_invariant_enumerated(6, 2, audit=True)
     monkeypatch.setattr("multiprocessing.Pool", SerialPool)
     monkeypatch.setattr("stablepairs.localcurve.os.cpu_count", lambda: 2)
+    monkeypatch.setattr("stablepairs.localcurve._POOL_MIN_FIXED_POINTS", 0)
     # the sweep spreads whole rows; each row computes in process
     assert verify_conjecture(2, 3, jobs=4) == expected_sweep
     assert started == [2]
     value = js_invariant_enumerated(6, 2, jobs=4, audit=True)
     assert value.contributions == expected_value.contributions
     assert started == [2, 2]
+    # below the gate, jobs=4 starts no pool
+    monkeypatch.setattr("stablepairs.localcurve._POOL_MIN_FIXED_POINTS",
+                        _POOL_MIN_FIXED_POINTS)
+    assert verify_conjecture(2, 3, jobs=4) == expected_sweep
+    value = js_invariant_enumerated(6, 2, jobs=4, audit=True)
+    assert value.contributions == expected_value.contributions
+    assert started == [2, 2]
+
+
+def test_real_pool_gives_identical_values_and_audits(monkeypatch, pool_starts):
+    monkeypatch.setattr("stablepairs.localcurve._POOL_MIN_FIXED_POINTS", 0)
+    for invariant, n, d in [(js_invariant_enumerated, 6, 3), (js_invariant_enumerated, 8, 2),
+                            (js_invariant_enumerated, 9, 1), (js_invariant_closed_form, 9, 3)]:
+        serial, pooled = (invariant(n, d, jobs=jobs, audit=True) for jobs in (1, 2))
+        assert pooled.value == serial.value, (n, d)
+        assert pooled.contributions == serial.contributions, (n, d)
+        assert pooled.fixed_point_count == serial.fixed_point_count
+    assert verify_conjecture(2, 3, jobs=2) == verify_conjecture(2, 3)
+    assert pool_starts == [2] * 5
 
 
 def test_report_shape():

@@ -482,6 +482,24 @@ def naive_ratfun(term, arity):
     return RatFun(num, den)
 
 
+def cleared_naive_sum(terms, arity):
+    """(D, sum(term * D)) as Poly products, no gcd: D is the product of every
+    denominator form to its largest power among the terms."""
+    need = {}
+    for t in terms:
+        for form, e in t.forms.items():
+            need[form] = max(need.get(form, 0), -e)
+    den, num = Poly.one(arity), Poly.zero(arity)
+    for form, e in need.items():
+        den = den * Poly.linear_form(form, arity) ** e
+    for t in terms:
+        product = Poly.constant(t.scalar, arity)
+        for form, lift in need.items():
+            product = product * Poly.linear_form(form, arity) ** (lift + t.forms.get(form, 0))
+        num = num + product
+    return den, num
+
+
 def random_form(rng, arity):
     """A nonzero integer linear form with up to four entries as large as 10**6."""
     coefficients = [0] * arity
@@ -497,28 +515,52 @@ def random_scalar(rng):
     return Fraction(rng.choice([1, -1]) * magnitude, rng.choice([1, 6, 10**6]))
 
 
+def random_term(rng, pool, degree=None):
+    """A term with up to two random factors, and a third of the given total
+    degree when one is asked for."""
+    factors = [
+        (rng.choice(pool), rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]))
+        for _ in range(rng.randint(0, 2))
+    ]
+    if degree is not None:
+        factors.append((rng.choice(pool), degree - sum(e for _, e in factors)))
+    return FactoredRatFun.product(random_scalar(rng), factors)
+
+
 def test_sum_factored_matches_naive_sum_randomized():
     """Arity 1-5, large form coefficients, exponents +-1..4, mixed degrees,
-    terms without forms, and terms that cancel exactly."""
+    terms without forms, and terms that cancel exactly; then 5-17 terms of
+    one degree, summed as a tree of halves, with cancelling pairs in
+    different halves."""
     rng = random.Random(2024)
-    for case in range(40):
-        arity = 1 + case % 5
+    for case in range(40 + 10):
+        # arity 2-4 for the trees: their products in arity 5 take minutes
+        arity = 1 + case % 5 if case < 40 else 2 + case % 3
         pool = [random_form(rng, arity) for _ in range(3)]
-        terms = []
-        for _ in range(rng.randint(1, 3)):
-            factors = [
-                (rng.choice(pool), rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]))
-                for _ in range(rng.randint(0, 2))
-            ]
-            terms.append(FactoredRatFun.product(random_scalar(rng), factors))
-        if case % 4 == 0:
-            terms.append(terms[0].times_scalar(-1))
-        expected = RatFun.zero(arity)
-        for t in terms:
-            expanded = naive_ratfun(t, arity)
-            assert t.to_ratfun(arity) == expanded, (case, t)
-            expected = expected + expanded
-        assert sum_factored(terms, arity) == expected, (case, terms)
+        if case < 40:
+            terms = [random_term(rng, pool) for _ in range(rng.randint(1, 3))]
+            if case % 4 == 0:
+                terms.append(terms[0].times_scalar(-1))
+        else:
+            # one total degree, so that all terms meet in one product tree
+            count = [5, 6, 7, 9, 11, 12, 13, 15, 16, 17][case - 40]
+            degree = rng.randint(-4, 2)
+            terms = [random_term(rng, pool, degree) for _ in range(count)]
+            # the top split is at count // 2: cancel across it, twice
+            terms[-1] = terms[0].times_scalar(-1)
+            terms[count // 2] = terms[1].times_scalar(-1)
+        if case < 40:
+            expected = RatFun.zero(arity)
+            for t in terms:
+                expanded = naive_ratfun(t, arity)
+                assert t.to_ratfun(arity) == expanded, (case, t)
+                expected = expected + expanded
+            assert sum_factored(terms, arity) == expected, (case, terms)
+        else:
+            # the generic gcd is too slow at this size: cross-multiply instead
+            den, num = cleared_naive_sum(terms, arity)
+            total = sum_factored(terms, arity)
+            assert total.num * den == total.den * num, (case, terms)
         rng.shuffle(terms)
         assert sum_factored(terms + [t.times_scalar(-1) for t in terms], arity).is_zero()
 
