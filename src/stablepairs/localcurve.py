@@ -26,7 +26,7 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 from .equivariant import (
     EqLineBundleP1,
@@ -187,6 +187,14 @@ def half_obstruction_d1(point, geom):
     return KClass(terms)
 
 
+@lru_cache(maxsize=1 << 10)
+def _first_sum_block(k, i, part):
+    """The weights (j, 0, 0, -j2), j in [-(k - i), i], j2 in [0, part), of
+    one part's block of the first sum of half_obstruction_general: the same
+    at every fixed point that has this part in slot i, so built once."""
+    return tuple((j, 0, 0, -j2) for j in range(-(k - i), i + 1) for j2 in range(part))
+
+
 def half_obstruction_general(comp):
     """Square root of the obstruction class at a composition fixed point
     (standard (-1,-1,0) geometry).
@@ -204,10 +212,8 @@ def half_obstruction_general(comp):
     nonzero = [(i, part) for i, part in enumerate(comp.parts) if part]
     terms = {}
     for i, part in nonzero:
-        for j in range(-(k - i), i + 1):
-            for j2 in range(part):
-                w = (j, 0, 0, -j2)
-                terms[w] = terms.get(w, 0) - 1
+        for w in _first_sum_block(k, i, part):
+            terms[w] = terms.get(w, 0) - 1
     for a, (i, di) in enumerate(nonzero):
         for j, dj in nonzero[a + 1:]:
             # the characters coincide when d_i = d_j and must then cancel
@@ -294,14 +300,17 @@ def _worker_count(jobs, items):
 
 
 # A pool runs only for work of at least this many fixed points, summed over
-# the invariants still to compute.  Jobs 1 -> 2 with the gate off, in process
-# on a 2-CPU machine (Python 3.11, medians of 5-7 alternated runs): js(42,2),
-# 231 points, 0.050 -> 0.066 s; verify(3,6), 203 points, 0.026 -> 0.042 s;
-# js(45,3), 680 points, 0.135 -> 0.154 s; from about 650 to 1,200 points the
-# pool wins or loses by up to 15 %; js(90,2), 1,035 points, 0.51 -> 0.43 s;
-# verify(6,6), 1,709 points, 0.27 -> 0.22 s; js(120,2), 1,830 points,
-# 1.58 -> 1.40 s.
-_POOL_MIN_FIXED_POINTS = 1000
+# the invariants still to compute.  Jobs 1 -> 2 with the gate off, each run in
+# a fresh process on a 2-CPU machine (Python 3.11, medians of 5-9 alternated
+# runs): js(42,2), 231 points, 0.019 -> 0.053 s; verify(3,6), 203 points,
+# 0.012 -> 0.047 s; js(45,3), 680 points, 0.070 -> 0.093 s; js(90,2), 1,035
+# points, 0.203 -> 0.234 s; verify(6,6), 1,709 points, 0.107 -> 0.105 s;
+# js(120,2), 1,830 points, 0.658 -> 0.690 s; js(56,4), 2,380 points,
+# 0.225 -> 0.260 s.  From about 2,800 points on the pool wins or loses by up
+# to 6 % (js at (150,2), (60,4), (64,4), (180,2)), and verify(6,8), 6,426
+# points, goes 0.474 -> 0.427 s.  js sums its tree in the parent process, so
+# a second worker shares only the contributions.
+_POOL_MIN_FIXED_POINTS = 3000
 
 
 def _pooled_jobs(jobs, fixed_points):

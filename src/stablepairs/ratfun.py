@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _int_gcd, lcm as _int_lcm, prod
 from operator import add
 
@@ -802,6 +803,22 @@ def residue_at(f, pole, var=0):
 # -- factored fast path ----------------------------------------------------------
 
 
+@lru_cache(maxsize=1 << 12)
+def _primitive_form(coefficients):
+    """(form, unit) with coefficients = unit * form, form primitive with a
+    positive first nonzero entry.  The hot loops meet the same few hundred
+    forms at every fixed point, so each is normalized once; the zero form
+    raises ValueError, and a raising call is not cached."""
+    unit = _int_gcd(*coefficients)
+    if not unit:
+        raise ValueError("zero linear form has no normalization")
+    if next(filter(None, coefficients)) < 0:
+        unit = -unit
+    if unit == 1:
+        return coefficients, 1
+    return tuple(map(unit.__rfloordiv__, coefficients)), unit
+
+
 class FactoredRatFun:
     """A rational function kept as scalar * prod(linear_form ** exponent).
 
@@ -820,19 +837,12 @@ class FactoredRatFun:
     @classmethod
     def product(cls, scalar, factors):
         """scalar * prod(form ** exponent) over (integer form, exponent)
-        pairs, normalized in one pass with integer gcds."""
+        pairs, each form normalized once per process (_primitive_form)."""
         forms = {}
         num = den = 1
         for coefficients, exponent in factors:
-            unit = _int_gcd(*coefficients)
-            if not unit:
-                raise ValueError("zero linear form has no normalization")
-            if next(filter(None, coefficients)) < 0:
-                unit = -unit
-            if unit == 1:
-                form = tuple(coefficients)
-            else:
-                form = tuple(map(unit.__rfloordiv__, coefficients))
+            form, unit = _primitive_form(tuple(coefficients))
+            if unit != 1:
                 if exponent > 0:
                     num *= unit**exponent
                 else:
@@ -842,7 +852,8 @@ class FactoredRatFun:
                 forms[form] = e
             else:
                 forms.pop(form, None)
-        return cls(Fraction(scalar) * Fraction(num, den), forms)
+        scalar = Fraction(scalar)
+        return cls(Fraction(scalar.numerator * num, scalar.denominator * den), forms)
 
     def times_scalar(self, value):
         return FactoredRatFun(self.scalar * value, self.forms)
@@ -862,34 +873,52 @@ class FactoredRatFun:
         return f"FactoredRatFun({self.scalar}, {self.forms})"
 
 
-def _lifts(exponents, need):
-    """{form: exponent + need[form]} without zeros, built afresh on each use
-    so that no dict per term stays alive."""
-    lifts = {form: n for form, n in need.items() if n}
-    for form, e in exponents.items():
-        lift = lifts.get(form, 0) + e
-        if lift:
-            lifts[form] = lift
-        else:
-            del lifts[form]
-    return lifts
+def _packing_bounds(products, need, forms, variables):
+    """(B, bounds): B = sum(|scalar| * prod(||form||_1 ** lift)) and, for
+    each of the variables, the largest sum of the lifts of the forms that
+    use it, with lift = exponent + need[form].  Read off each term's own
+    exponents: its norm product is |scalar| * prod_{e > 0} ||form||**e *
+    (NB // prod_{e < 0} ||form||**-e) with NB = prod_need ||form||**need,
+    exact since need >= -e, and its lift sum for variable i is
+    sum_need need + sum_term e over the forms using i."""
+    norms = {f: sum(map(abs, f)) for f in forms}
+    need_norm = prod(norms[f] ** n for f, n in need.items())
+    bound = 0
+    for scalar, exponents in products:
+        size, cleared = abs(scalar), need_norm
+        for f, e in exponents.items():
+            if e > 0:
+                size *= norms[f] ** e
+            else:
+                cleared //= norms[f] ** -e
+        bound += size * cleared
+    bounds = [sum(n for f, n in need.items() if f[i])
+              + max(sum(e for f, e in exponents.items() if f[i]) for _, exponents in products)
+              for i in variables]
+    return bound, bounds
 
 
 def _kronecker_sum(products, need, arity):
     """Expand sum(scalar * prod(form ** lift)) into {monomial: int}, where
-    lift = exponent + need[form] >= 0 (see _lifts) and scalars are integers.
+    lift = exponent + need[form] >= 0 and scalars are integers.
 
     Every lifted product is homogeneous of one total degree N.  The last
     variable the forms use is then implied by the others and set to 1; the
     rest map to powers X**stride with X = 2**bits, strides from per-variable
-    exponent bounds, so every product packs into one Python int.  Packing
-    is a ring homomorphism, so the packed sum may be formed in any order: as
-    a tree of halves (binary splitting), each half over its own denominator
-    exponents, lifted to the larger of the two where they meet and to need
-    at the root.  The l1 norm is submultiplicative, so no coefficient of the
-    sum exceeds B = sum(|scalar| * prod(||form||_1 ** lift)) < 2**(bits - 1),
-    and the balanced base-X digits of the packed sum are exactly its
-    coefficients.
+    exponent bounds, so every product packs into one Python int.  The l1
+    norm is submultiplicative, so no coefficient of the sum exceeds
+    B = sum(|scalar| * prod(||form||_1 ** lift)) < 2**(bits - 1); B and the
+    exponent bounds are read off each term's own exponents, with no lifted
+    dict per term (_packing_bounds).  Packing is a ring homomorphism, so the
+    packed sum may be formed in any order: as a tree of halves (binary
+    splitting), each half over its own denominator exponents.  A merge walks
+    each half's exponents once, lifting the other half by the missing powers
+    (cached per form and exponent) and building the larger exponents as it
+    goes; the root is lifted to need.  The balanced base-X digits of the
+    packed sum are exactly its coefficients.  They are read from the binary
+    text of its absolute value in bits-wide fields, low field first, with a
+    carry, so unpacking is linear in the size of the sum; a zero field on
+    top takes the last carry, and the sign is applied last.
     """
     degree = sum(need.values()) + sum(products[0][1].values())
     forms = set(need)
@@ -897,16 +926,10 @@ def _kronecker_sum(products, need, arity):
         forms.update(exponents)
     *packed, last = sorted({i for f in forms for i, c in enumerate(f) if c}) or [0]
     # the last packed variable needs no bound: nothing is packed above it
-    bounds = [max(sum(lift for f, lift in _lifts(exponents, need).items() if f[i])
-                  for _, exponents in products) for i in packed[:-1]]
+    bound, bounds = _packing_bounds(products, need, forms, packed[:-1])
     strides = [1]
     for b in bounds:
         strides.append(strides[-1] * (b + 1))
-    norms = {f: sum(map(abs, f)) for f in forms}
-    bound = sum(
-        abs(scalar) * prod(norms[f] ** lift for f, lift in _lifts(exponents, need).items())
-        for scalar, exponents in products
-    )
     bits = bound.bit_length() + 1
     packed_forms = {
         f: sum(f[i] << (bits * s) for i, s in zip(packed, strides)) + f[last]
@@ -914,39 +937,53 @@ def _kronecker_sum(products, need, arity):
     }
     powers = {}
 
-    def lifted(value, den, to):
-        """value * prod(form ** (to[form] - den[form])), from cached powers."""
-        for form, e in to.items():
-            missing = e - den.get(form, 0)
-            if missing:
-                power = powers.get((form, missing))
-                if power is None:
-                    power = powers[form, missing] = packed_forms[form] ** missing
-                value *= power
-        return value
+    def power(form, e):
+        p = powers.get((form, e))
+        if p is None:
+            p = powers[form, e] = packed_forms[form] ** e
+        return p
 
     def split_sum(lo, hi):
         """(N, den) with sum of products[lo:hi] = N / prod(form ** den[form]):
         binary splitting, each half over its own denominator exponents."""
         if hi - lo == 1:
-            scalar, exponents = products[lo]
-            den = {form: -e for form, e in exponents.items() if e < 0}
-            return lifted(scalar, {}, {f: e for f, e in exponents.items() if e > 0}), den
+            value, exponents = products[lo]
+            den = {}
+            for form, e in exponents.items():
+                if e > 0:
+                    value *= power(form, e)
+                else:
+                    den[form] = -e
+            return value, den
         mid = (lo + hi) // 2
-        left, left_den = split_sum(lo, mid)
+        left, den = split_sum(lo, mid)
         right, right_den = split_sum(mid, hi)
-        den = left_den | {f: max(e, left_den.get(f, 0)) for f, e in right_den.items()}
-        return lifted(left, left_den, den) + lifted(right, right_den, den), den
+        for form, e in den.items():
+            missing = e - right_den.get(form, 0)
+            if missing > 0:
+                right *= power(form, missing)
+        for form, e in right_den.items():
+            missing = e - den.get(form, 0)
+            if missing > 0:
+                left *= power(form, missing)
+                den[form] = e
+        return left + right, den
 
     total, den = split_sum(0, len(products))
-    total = lifted(total, den, need)
+    for form, n in need.items():
+        missing = n - den.get(form, 0)
+        if missing:
+            total *= power(form, missing)
+    sign = -1 if total < 0 else 1
+    text = "0" * bits + format(abs(total), "b")
+    half = 1 << (bits - 1)
     coeffs = {}
-    mask, half = (1 << bits) - 1, 1 << (bits - 1)
-    position = 0
-    while total:
-        digit = total & mask
-        if digit >= half:
-            digit -= mask + 1
+    carry = 0
+    for position, end in enumerate(range(len(text), 0, -bits)):
+        digit = int(text[max(end - bits, 0):end], 2) + carry
+        carry = digit >= half
+        if carry:
+            digit -= half << 1
         if digit:
             mono = [0] * arity
             rest = position
@@ -955,24 +992,25 @@ def _kronecker_sum(products, need, arity):
             if packed:
                 mono[packed[-1]] = rest
             mono[last] = degree - sum(mono)
-            coeffs[tuple(mono)] = digit
-        total = (total - digit) >> bits
-        position += 1
+            coeffs[tuple(mono)] = sign * digit
     return coeffs
 
 
 def sum_factored(terms, arity):
     """Sum FactoredRatFun terms over a common denominator, fully reduced.
 
-    Over the common denominator a term's numerator is scalar * prod(form **
-    lift).  The terms of one total degree share one packed expansion (see
-    _kronecker_sum): their scalars are cleared to integers by the lcm L of
-    their denominators, each lifted numerator becomes one big integer in
-    radix 2**bits, bits is chosen from the rigorous coefficient bound
-    sum(|L * scalar| * prod(||form||_1 ** lift)), and the balanced digits of
-    the packed sum, over L, are the coefficients.  All denominator factors
-    are irreducible linear forms, so trial division against each form is a
-    complete reduction; no generic gcd runs in this path.
+    Over the common denominator prod(form ** need) a term's numerator is
+    scalar * prod(form ** lift), lift = exponent + need.  The terms of one
+    total degree share one packed expansion (see _kronecker_sum): their
+    scalars are cleared to integers by the lcm L of their denominators, bits
+    is chosen from the rigorous coefficient bound
+    sum(|L * scalar| * prod(||form||_1 ** lift)), computed from each term's
+    own exponents and need, and the terms are added as one product tree of
+    packed ints, each merge lifting one half by the powers the other has
+    and it lacks.  The balanced digits of the packed sum, over L, are the
+    coefficients.  All denominator factors are irreducible linear forms, so
+    trial division against each form is a complete reduction; no generic
+    gcd runs in this path.
     """
     terms = [t for t in terms if not t.is_zero()]
     if not terms:

@@ -215,6 +215,56 @@ def test_criterion_5_square_root_doubles_at_every_fixed_point():
                 ), (n, d, comp.parts)
 
 
+def triple_loop_half_obstruction(comp):
+    """half_obstruction_general's terms with the first sum built by its
+    triple loop at every call: the reference for the cached blocks."""
+    k = comp.k
+    nonzero = [(i, part) for i, part in enumerate(comp.parts) if part]
+    terms = {}
+    for i, part in nonzero:
+        for j in range(-(k - i), i + 1):
+            for j2 in range(part):
+                w = (j, 0, 0, -j2)
+                terms[w] = terms.get(w, 0) - 1
+    for a, (i, di) in enumerate(nonzero):
+        for j, dj in nonzero[a + 1:]:
+            for w, m in (((j - i, 0, 0, 0), 1), ((j - i, 0, 0, di), -1),
+                         ((j - i, 0, 0, -dj), -1), ((j - i, 0, 0, di - dj), 1)):
+                terms[w] = terms.get(w, 0) + m
+    for _, part in nonzero:
+        for w, m in (((0, 0, 0, 0), 1), ((0, 0, 0, part), -1)):
+            terms[w] = terms.get(w, 0) + m
+    return {w: m for w, m in terms.items() if m}
+
+
+def test_half_obstruction_blocks_match_the_triple_loop():
+    spots = [(ratio * d, d) for d in range(1, 7) for ratio in range(1, 7)] + DEEP_SPOTS
+    for family in VANISHING_FAMILIES.values():
+        spots += [(n, d) for n, d in family if d > 1]
+    for n, d in spots:
+        for comp in enumerate_fixed_points(n, d):
+            half = half_obstruction_general(comp)
+            assert list(half.terms.items()) == list(
+                triple_loop_half_obstruction(comp).items()), (n, d, comp.parts)
+            # a caller that mutates the result cannot reach a later one
+            half.terms.clear()
+            half.terms[(5, 0, 0, 5)] = 7
+        for comp in enumerate_fixed_points(n, d):
+            assert half_obstruction_general(comp).terms == triple_loop_half_obstruction(comp)
+
+
+def test_packing_bounds_of_the_sweep_match_the_lifted_reference(packing_bounds_seen):
+    """bits and the strides of every localization sum of the acceptance
+    sweep and the deep tiers are those of the lifted reference."""
+    spots = [(d, d) for d in range(1, 7)] + DEEP_SPOTS
+    for family in VANISHING_FAMILIES.values():
+        spots += family
+    for n, d in spots:
+        js_invariant_enumerated(n, d)
+    # one packed sum at least for every spot with fixed points
+    assert len(packing_bounds_seen) >= sum(n % d == 0 for n, d in spots)
+
+
 def test_criterion_6_invariants_are_homogeneous_of_degree_minus_n():
     # degree-one values on all four geometries
     for degrees in [(-1, -1, 0), (0, -1, -1), (1, -1, -2), (3, -2, -3)]:

@@ -125,7 +125,7 @@ def test_js_output_is_identical_across_job_counts():
 
 
 def test_verify_above_the_pool_gate_is_identical_across_job_counts(pool_starts):
-    runs = [run(["verify", "--d-max", "4", "--ratio-max", "8", "--format", "json",
+    runs = [run(["verify", "--d-max", "6", "--ratio-max", "7", "--format", "json",
                  "--jobs", str(j)]) for j in (1, 2)]
     assert runs[0] == runs[1]
     assert runs[0][0] == 0

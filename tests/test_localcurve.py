@@ -35,6 +35,7 @@ from stablepairs.localcurve import (
     orientation_sign,
     residue_vanishing_check,
     verify_conjecture,
+    _contribution_general,
     _residue_term,
     _residues_at_l3_one,
     _POOL_MIN_FIXED_POINTS,
@@ -167,6 +168,17 @@ def test_trivial_weight_always_cancels():
     for n, d in [(2, 2), (4, 2), (6, 2), (6, 3), (9, 3), (8, 4)]:
         for comp in enumerate_fixed_points(n, d):
             euler_factored(half_obstruction_general(comp))  # must not raise
+
+
+def test_contribution_keeps_the_trivial_weight_check(monkeypatch):
+    # a surviving trivial character must raise, never reach the product
+    comp = Composition((1, 1))
+    with_trivial = KClass(half_obstruction_general(comp).terms | {(0, 0, 0, 0): -1})
+    monkeypatch.setattr("stablepairs.localcurve.half_obstruction_general",
+                        lambda _: with_trivial)
+    for _ in range(2):
+        with pytest.raises(TrivialWeightError):
+            _contribution_general(comp)
 
 
 def test_orientation_sign():

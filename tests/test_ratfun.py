@@ -1,8 +1,10 @@
 """Exact polynomial / rational-function kernel: canonical forms, gcd,
 field laws, specialization, residues, factored sums, text round-trips."""
 
+import math
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -19,6 +21,7 @@ from stablepairs.ratfun import (
     residue_at,
     specialize,
     sum_factored,
+    _primitive_form,
 )
 
 ARITY = 4
@@ -500,6 +503,18 @@ def cleared_naive_sum(terms, arity):
     return den, num
 
 
+def poly_value(poly, point):
+    """poly at an integer point, exactly."""
+    return sum(c * prod(x**e for x, e in zip(point, mono)) for mono, c in poly.coeffs.items())
+
+
+def seeded_points(seed, arity):
+    """Two integer points with entries below 2**32: a nonzero polynomial of
+    degree D vanishes at one with probability at most D / 2**32."""
+    rng = random.Random(seed)
+    return [[rng.randrange(1, 2**32) for _ in range(arity)] for _ in range(2)]
+
+
 def random_form(rng, arity):
     """A nonzero integer linear form with up to four entries as large as 10**6."""
     coefficients = [0] * arity
@@ -527,15 +542,15 @@ def random_term(rng, pool, degree=None):
     return FactoredRatFun.product(random_scalar(rng), factors)
 
 
-def test_sum_factored_matches_naive_sum_randomized():
+def test_sum_factored_matches_naive_sum_randomized(packing_bounds_seen):
     """Arity 1-5, large form coefficients, exponents +-1..4, mixed degrees,
     terms without forms, and terms that cancel exactly; then 5-17 terms of
-    one degree, summed as a tree of halves, with cancelling pairs in
-    different halves."""
+    one degree in arity 2-4 and 5-13 in arity 5, summed as a tree of
+    halves, with cancelling pairs in different halves.  Every packing bound
+    must equal the lifted reference (packing_bounds_seen)."""
     rng = random.Random(2024)
-    for case in range(40 + 10):
-        # arity 2-4 for the trees: their products in arity 5 take minutes
-        arity = 1 + case % 5 if case < 40 else 2 + case % 3
+    for case in range(40 + 10 + 5):
+        arity = 1 + case % 5 if case < 40 else 2 + case % 3 if case < 50 else 5
         pool = [random_form(rng, arity) for _ in range(3)]
         if case < 40:
             terms = [random_term(rng, pool) for _ in range(rng.randint(1, 3))]
@@ -543,7 +558,7 @@ def test_sum_factored_matches_naive_sum_randomized():
                 terms.append(terms[0].times_scalar(-1))
         else:
             # one total degree, so that all terms meet in one product tree
-            count = [5, 6, 7, 9, 11, 12, 13, 15, 16, 17][case - 40]
+            count = [5, 6, 7, 9, 11, 12, 13, 15, 16, 17, 5, 7, 9, 11, 13][case - 40]
             degree = rng.randint(-4, 2)
             terms = [random_term(rng, pool, degree) for _ in range(count)]
             # the top split is at count // 2: cancel across it, twice
@@ -557,12 +572,19 @@ def test_sum_factored_matches_naive_sum_randomized():
                 expected = expected + expanded
             assert sum_factored(terms, arity) == expected, (case, terms)
         else:
-            # the generic gcd is too slow at this size: cross-multiply instead
+            # the generic gcd is too slow at this size: cross-multiply instead,
+            # in arity 5 at two seeded points (the products take 10-20 s there)
             den, num = cleared_naive_sum(terms, arity)
             total = sum_factored(terms, arity)
-            assert total.num * den == total.den * num, (case, terms)
+            if arity < 5:
+                assert total.num * den == total.den * num, (case, terms)
+            for point in seeded_points(case, arity) if arity == 5 else ():
+                assert (poly_value(total.num, point) * poly_value(den, point)
+                        == poly_value(total.den, point) * poly_value(num, point)), (case, terms)
         rng.shuffle(terms)
         assert sum_factored(terms + [t.times_scalar(-1) for t in terms], arity).is_zero()
+    # arity 5 packs four variables, three of them below the top one
+    assert max(map(len, packing_bounds_seen)) == 3
 
 
 def test_sum_factored_packing_bounds():
@@ -594,6 +616,58 @@ def test_factored_product_normalizes_in_one_pass():
     assert (term.scalar, term.forms) == (-2, {})
     with pytest.raises(ValueError):
         FactoredRatFun.product(1, [((0, 0, 0, 0), 1)])
+
+
+def uncached_product(scalar, factors):
+    """(scalar, forms) of FactoredRatFun.product, each form normalized on
+    the spot by its own gcd and sign scan: the reference for the cached
+    normalization."""
+    forms, unit_product = {}, Fraction(1)
+    for coefficients, exponent in factors:
+        unit = math.gcd(*coefficients)
+        if next(filter(None, coefficients)) < 0:
+            unit = -unit
+        form = tuple(c // unit for c in coefficients)
+        unit_product *= Fraction(unit) ** exponent
+        forms[form] = forms.get(form, 0) + exponent
+        if not forms[form]:
+            del forms[form]
+    return Fraction(scalar) * unit_product, forms
+
+
+def test_factored_product_matches_uncached_normalization():
+    # negative leading entries, common factors, exponent 0, and a form met
+    # again with the opposite exponent, so that it cancels to exponent 0
+    rng = random.Random(1313)
+    for _ in range(300):
+        arity = rng.randint(1, 5)
+        factors = []
+        for _ in range(rng.randint(0, 6)):
+            form = [rng.choice([0, 0, 1, -1, 3, -7]) for _ in range(arity)]
+            form[rng.randrange(arity)] = rng.choice([1, -1, 2, -2, 5])
+            unit = rng.choice([1, -1, 2, -3, 6])
+            factors.append((tuple(unit * c for c in form), rng.choice([-3, -1, 0, 1, 2])))
+            if rng.random() < 0.3:
+                again = rng.choice([1, -1, -2])
+                factors.append((tuple(again * c for c in form), -factors[-1][1]))
+        scalar = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        term = FactoredRatFun.product(scalar, factors)
+        expected_scalar, expected_forms = uncached_product(scalar, factors)
+        assert term.scalar == expected_scalar, factors
+        assert list(term.forms.items()) == list(expected_forms.items()), factors
+        # a list of coefficients normalizes as its tuple
+        listed = FactoredRatFun.product(scalar, [(list(f), e) for f, e in factors])
+        assert (listed.scalar, listed.forms) == (term.scalar, term.forms)
+
+
+def test_zero_form_raises_on_every_call_and_is_never_cached():
+    before = _primitive_form.cache_info()
+    for _ in range(3):
+        with pytest.raises(ValueError, match="zero linear form"):
+            FactoredRatFun.product(1, [((0, 0, 0, 0), -1)])
+    after = _primitive_form.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (
+        before.hits, before.misses + 3, before.currsize)
 
 
 # -- text formats ---------------------------------------------------------------------
