@@ -907,18 +907,15 @@ def _kronecker_sum(products, need, arity):
     rest map to powers X**stride with X = 2**bits, strides from per-variable
     exponent bounds, so every product packs into one Python int.  The l1
     norm is submultiplicative, so no coefficient of the sum exceeds
-    B = sum(|scalar| * prod(||form||_1 ** lift)) < 2**(bits - 1); B and the
-    exponent bounds are read off each term's own exponents, with no lifted
-    dict per term (_packing_bounds).  Packing is a ring homomorphism, so the
-    packed sum may be formed in any order: as a tree of halves (binary
-    splitting), each half over its own denominator exponents.  A merge walks
-    each half's exponents once, lifting the other half by the missing powers
-    (cached per form and exponent) and building the larger exponents as it
-    goes; the root is lifted to need.  The balanced base-X digits of the
-    packed sum are exactly its coefficients.  They are read from the binary
-    text of its absolute value in bits-wide fields, low field first, with a
-    carry, so unpacking is linear in the size of the sum; a zero field on
-    top takes the last carry, and the sign is applied last.
+    B = sum(|scalar| * prod(||form||_1 ** lift)) < 2**(bits - 1)
+    (_packing_bounds), and the balanced base-X digits of the packed sum are
+    exactly its coefficients; they are read from the binary text of its
+    absolute value, bits per digit with a carry, in time linear in its size.
+    Packing is a ring homomorphism, so the packed sum may be formed in any
+    order: as a tree of halves (binary splitting), each half over its own
+    denominator exponents.  A merge walks each half's exponents once,
+    lifting the other half by the powers it lacks and keeping the larger
+    exponents; the root is lifted to need.
     """
     degree = sum(need.values()) + sum(products[0][1].values())
     forms = set(need)
@@ -1001,13 +998,11 @@ def sum_factored(terms, arity):
 
     Over the common denominator prod(form ** need) a term's numerator is
     scalar * prod(form ** lift), lift = exponent + need.  The terms of one
-    total degree share one packed expansion (see _kronecker_sum): their
-    scalars are cleared to integers by the lcm L of their denominators, bits
-    is chosen from the rigorous coefficient bound
-    sum(|L * scalar| * prod(||form||_1 ** lift)), computed from each term's
-    own exponents and need, and the terms are added as one product tree of
-    packed ints, each merge lifting one half by the powers the other has
-    and it lacks.  The balanced digits of the packed sum, over L, are the
+    total degree share one packed expansion, a product tree of big ints (see
+    _kronecker_sum): their scalars are cleared to integers by the lcm L of
+    their denominators, bits comes from the rigorous coefficient bound
+    sum(|L * scalar| * prod(||form||_1 ** lift)), read off each term's own
+    exponents, and the balanced digits of the packed sum, over L, are the
     coefficients.  All denominator factors are irreducible linear forms, so
     trial division against each form is a complete reduction; no generic
     gcd runs in this path.
