@@ -20,9 +20,10 @@ error (any unexpected exception, e.g. a trivial weight reaching an Euler
 class), reported as one ``internal error:`` line on stderr.
 
 Output is deterministic: byte-identical across worker counts unless
-``--timings`` is passed.  The default worker count comes from the
-``STABLEPAIRS_JOBS`` environment variable; like ``--jobs`` it must be a
-positive integer.
+``--timings`` is passed.  Only ``verify`` spreads its rows over a pool; ``js``
+accepts ``--jobs`` and computes in one process.  The default worker count
+comes from the ``STABLEPAIRS_JOBS`` environment variable; like ``--jobs`` it
+must be a positive integer.
 """
 
 import argparse
@@ -171,13 +172,9 @@ def cmd_js(args):
         )
     try:
         if args.method == "closed":
-            result = js_invariant_closed_form(
-                args.n, args.d, jobs=args.jobs, audit=args.audit
-            )
+            result = js_invariant_closed_form(args.n, args.d, audit=args.audit)
         else:
-            result = js_invariant_enumerated(
-                args.n, args.d, geom, jobs=args.jobs, audit=args.audit
-            )
+            result = js_invariant_enumerated(args.n, args.d, geom, audit=args.audit)
     except ValueError as exc:
         return _fail_usage(str(exc))
 

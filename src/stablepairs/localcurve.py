@@ -27,6 +27,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import combinations
 
 from .equivariant import (
     EqLineBundleP1,
@@ -125,16 +126,12 @@ def enumerate_fixed_points(n, d):
     if n < d or n % d != 0:
         return []
     slots = n // d
-
-    def _comps(total, length):
-        if length == 1:
-            yield (total,)
-            return
-        for first in range(total, -1, -1):
-            for rest in _comps(total - first, length - 1):
-                yield (first,) + rest
-
-    return [Composition(parts) for parts in _comps(d, slots)]
+    # stars and bars: the parts are the gaps between slots - 1 bars among
+    # d + slots - 1 positions, and the bar sets in reverse lex order give the
+    # compositions in reverse lex order
+    width = d + slots - 1
+    return [Composition(tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (width,))))
+            for bars in reversed(list(combinations(range(width), slots - 1)))]
 
 
 def d1_fixed_points(n):
@@ -294,46 +291,9 @@ class InvariantResult:
         return report
 
 
-def _worker_count(jobs, items):
-    """Pool size: no more workers than requested, than CPUs, or than items."""
-    return max(1, min(jobs, os.cpu_count() or 1, items))
-
-
-# A pool runs only for work of at least this many fixed points, summed over
-# the invariants still to compute.  Jobs 1 -> 2 with the gate off, each run in
-# a fresh process on a 2-CPU machine (Python 3.11, medians of 5-9 alternated
-# runs): js(42,2), 231 points, 0.019 -> 0.053 s; verify(3,6), 203 points,
-# 0.012 -> 0.047 s; js(45,3), 680 points, 0.070 -> 0.093 s; js(90,2), 1,035
-# points, 0.203 -> 0.234 s; verify(6,6), 1,709 points, 0.107 -> 0.105 s;
-# js(120,2), 1,830 points, 0.658 -> 0.690 s; js(56,4), 2,380 points,
-# 0.225 -> 0.260 s.  From about 2,800 points on the pool wins or loses by up
-# to 6 % (js at (150,2), (60,4), (64,4), (180,2)), and verify(6,8), 6,426
-# points, goes 0.474 -> 0.427 s.  js sums its tree in the parent process, so
-# a second worker shares only the contributions.
-_POOL_MIN_FIXED_POINTS = 3000
-
-
-def _pooled_jobs(jobs, fixed_points):
-    """jobs when the work is large enough for a pool to pay, else 1."""
-    return jobs if fixed_points >= _POOL_MIN_FIXED_POINTS else 1
-
-
-def _ordered_map(fn, items, jobs):
-    """Yield fn(item) for the items in order, computed on one pool of
-    _worker_count(jobs, len(items)) processes when that is more than one."""
-    workers = _worker_count(jobs, len(items))
-    if workers == 1:
-        yield from map(fn, items)
-        return
-    from multiprocessing import Pool  # here, not at the top: it slows every import
-    with Pool(processes=workers) as pool:
-        # the chunk size Pool.map would choose
-        yield from pool.imap(fn, items, -(-len(items) // (4 * workers)))
-
-
-def _localize(n, d, geom, points, term, jobs, audit, start):
+def _localize(n, d, geom, points, term, audit, start):
     """The invariant as the reduced sum of term(point) over the fixed points."""
-    terms = list(_ordered_map(term, points, _pooled_jobs(jobs, len(points))))
+    terms = [term(point) for point in points]
     contributions = None
     if audit:
         contributions = [(p.label(), t.to_ratfun(4)) for p, t in zip(points, terms)]
@@ -350,6 +310,7 @@ def js_invariant_enumerated(n, d, geom=GEOM_STANDARD, jobs=1, audit=False):
     standard (-1,-1,0) geometry, whose fixed points are classified by weak
     compositions.  Outside the support (d not dividing n, or n < d) the
     enumeration is empty and the invariant is zero; P(0, 0) = 1 by convention.
+    ``jobs`` is accepted and not used: the sum runs in this process.
     """
     start = time.monotonic()
     if d < 0:
@@ -365,7 +326,7 @@ def js_invariant_enumerated(n, d, geom=GEOM_STANDARD, jobs=1, audit=False):
         points, term = d1_fixed_points(n), partial(_contribution_d1, geom=geom)
     else:
         points, term = enumerate_fixed_points(n, d), _contribution_general
-    return _localize(n, d, geom, points, term, jobs, audit, start)
+    return _localize(n, d, geom, points, term, audit, start)
 
 
 def _closed_form_term(comp):
@@ -397,7 +358,7 @@ def js_invariant_closed_form(n, d, jobs=1, audit=False):
         1/(d_0! ... d_k!) * prod_{i<j} ((j-i) l0 + (d_i - d_j) l3)
         * prod_i [ prod_{a<=d_i, b<=k-i} (a l3 + b l0)^-1
                  * prod_{a<=d_i, b<=i}   (a l3 - b l0)^-1 ],
-    with k = n/d - 1.  Requires d >= 1 and d | n.
+    with k = n/d - 1.  Requires d >= 1 and d | n.  ``jobs`` is accepted and not used.
     """
     start = time.monotonic()
     if d < 1:
@@ -405,7 +366,7 @@ def js_invariant_closed_form(n, d, jobs=1, audit=False):
     if n < d or n % d != 0:
         raise ValueError(f"closed formula needs d | n and n >= d, got n={n}, d={d}")
     comps = enumerate_fixed_points(n, d)
-    return _localize(n, d, GEOM_STANDARD, comps, _closed_form_term, jobs, audit, start)
+    return _localize(n, d, GEOM_STANDARD, comps, _closed_form_term, audit, start)
 
 
 def expected_conjecture_value(n, d):
@@ -427,6 +388,32 @@ def _ms_since(start):
     return int((time.monotonic() - start) * 1000)
 
 
+def _worker_count(jobs, items):
+    """Pool size: no more workers than requested, than CPUs, or than items."""
+    return max(1, min(jobs, os.cpu_count() or 1, items))
+
+
+# verify starts its row pool only for rows of at least this many fixed points
+# in all.  Jobs 1 -> 2 with the gate off, each run in a fresh process on a
+# 2-CPU machine (Python 3.11, medians of 5-9 alternated runs): verify(3,6),
+# 203 points, 0.012 -> 0.047 s; verify(6,6), 1,709 points, 0.107 -> 0.105 s;
+# verify(6,8), 6,426 points, 0.474 -> 0.427 s.
+_POOL_MIN_FIXED_POINTS = 3000
+
+
+def _ordered_map(fn, items, jobs):
+    """Yield fn(item) for the items in order, computed on one pool of
+    _worker_count(jobs, len(items)) processes when that is more than one."""
+    workers = _worker_count(jobs, len(items))
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    from multiprocessing import Pool  # here, not at the top: it slows every import
+    with Pool(processes=workers) as pool:
+        # the chunk size Pool.map would choose
+        yield from pool.imap(fn, items, -(-len(items) // (4 * workers)))
+
+
 def _verify_row(key):
     return js_invariant_closed_form(*key).to_report()
 
@@ -441,8 +428,9 @@ def verify_conjecture(d_max, ratio_max, jobs=1, rows_done=None, on_row=None):
 
     Every value is computed by the closed formula with full simplification
     and compared against the conjectured 1/(d! l3^d) (n = d) or zero.  The
-    rows are spread over one pool of up to ``jobs`` workers when their fixed
-    points reach _POOL_MIN_FIXED_POINTS, else computed in process.
+    rows still to compute are spread over the package's one process pool, of
+    up to ``jobs`` workers, when their fixed points reach
+    _POOL_MIN_FIXED_POINTS, else computed in process.
     ``rows_done`` maps (n, d) to previously computed row dicts to skip;
     ``on_row`` is called with each freshly computed row dict, in order.
     """
@@ -450,7 +438,9 @@ def verify_conjecture(d_max, ratio_max, jobs=1, rows_done=None, on_row=None):
     done = dict(rows_done or {})
     pending = [key for key in grid if key not in done]
     fixed_points = sum(math.comb(n // d + d - 1, d) for n, d in pending)
-    for row in _ordered_map(_verify_row, pending, _pooled_jobs(jobs, fixed_points)):
+    if fixed_points < _POOL_MIN_FIXED_POINTS:
+        jobs = 1
+    for row in _ordered_map(_verify_row, pending, jobs):
         done[row["n"], row["d"]] = row
         if on_row is not None:
             on_row(row)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd as _int_gcd, lcm as _int_lcm, prod
 from operator import add
 
@@ -338,8 +339,14 @@ class Poly:
         lc_d = divisor.coeffs[lead_d]
         remainder = dict(self.coeffs)
         quotient = {}
+        # a min-heap on negated grlex keys: a monomial is pushed when it enters
+        # the remainder, and skipped when popped after it has left
+        heap = [(-sum(m), tuple(-e for e in m), m) for m in remainder]
+        heapify(heap)
         while remainder:
-            lead_r = max(remainder, key=_grlex_key)
+            lead_r = heappop(heap)[2]
+            if lead_r not in remainder:
+                continue
             shift = tuple(a - b for a, b in zip(lead_r, lead_d))
             if any(e < 0 for e in shift):
                 return None
@@ -351,6 +358,8 @@ class Poly:
                 if s == 0:
                     remainder.pop(mono, None)
                 else:
+                    if mono not in remainder:
+                        heappush(heap, (-sum(mono), tuple(-e for e in mono), mono))
                     remainder[mono] = s
         return Poly(self.arity, quotient)
 

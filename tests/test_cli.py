@@ -124,6 +124,15 @@ def test_js_output_is_identical_across_job_counts():
     assert runs[0][0] == 0
 
 
+def test_js_above_the_pool_gate_starts_no_pool(pool_starts):
+    argv = ["js", "--n", "60", "--d", "4", "--format", "json", "--audit"]
+    runs = [run(argv + ["--jobs", str(j)]) for j in (1, 2)]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+    assert json.loads(runs[0][1])["fixed_point_count"] >= _POOL_MIN_FIXED_POINTS
+    assert pool_starts == []
+
+
 def test_verify_above_the_pool_gate_is_identical_across_job_counts(pool_starts):
     runs = [run(["verify", "--d-max", "6", "--ratio-max", "7", "--format", "json",
                  "--jobs", str(j)]) for j in (1, 2)]

@@ -76,6 +76,26 @@ def test_enumeration_counts_weak_compositions():
             assert count == math.comb(d + ratio - 1, ratio - 1), (n, d)
 
 
+def recursive_compositions(total, length):
+    """The weak compositions of total into length parts, first part
+    descending, by the recursion enumerate_fixed_points used to run."""
+    if length == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in recursive_compositions(total - first, length - 1):
+            yield (first,) + rest
+
+
+def test_enumeration_matches_the_recursive_order():
+    # --audit output and pinned_js.json list contributions in this order
+    grid = [(n, d) for d in range(1, 8) for n in range(d, 9 * d + 1, d)]
+    grid += [(60, 4), (120, 2)]
+    for n, d in grid:
+        assert ([c.parts for c in enumerate_fixed_points(n, d)]
+                == list(recursive_compositions(d, n // d))), (n, d)
+
+
 def test_enumeration_rejects_bad_degree():
     with pytest.raises(ValueError):
         enumerate_fixed_points(4, 0)
@@ -324,14 +344,14 @@ def test_each_call_starts_at_most_one_pool(monkeypatch):
     assert started == [2]
     value = js_invariant_enumerated(6, 2, jobs=4, audit=True)
     assert value.contributions == expected_value.contributions
-    assert started == [2, 2]
+    assert started == [2]
     # below the gate, jobs=4 starts no pool
     monkeypatch.setattr("stablepairs.localcurve._POOL_MIN_FIXED_POINTS",
                         _POOL_MIN_FIXED_POINTS)
     assert verify_conjecture(2, 3, jobs=4) == expected_sweep
     value = js_invariant_enumerated(6, 2, jobs=4, audit=True)
     assert value.contributions == expected_value.contributions
-    assert started == [2, 2]
+    assert started == [2]
 
 
 def test_real_pool_gives_identical_values_and_audits(monkeypatch, pool_starts):
@@ -343,7 +363,7 @@ def test_real_pool_gives_identical_values_and_audits(monkeypatch, pool_starts):
         assert pooled.contributions == serial.contributions, (n, d)
         assert pooled.fixed_point_count == serial.fixed_point_count
     assert verify_conjecture(2, 3, jobs=2) == verify_conjecture(2, 3)
-    assert pool_starts == [2] * 5
+    assert pool_starts == [2]
 
 
 def test_report_shape():

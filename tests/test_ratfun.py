@@ -108,6 +108,48 @@ def test_exact_division():
         p.exact_div(L1 + const(1))
 
 
+def scanned_try_divide(p, divisor):
+    """Poly.try_divide finding each leading term by a scan of the remainder:
+    the reference for its heap."""
+    lead_d = divisor.leading_monomial()
+    remainder, quotient = dict(p.coeffs), {}
+    while remainder:
+        lead_r = max(remainder, key=lambda m: (sum(m), m))
+        shift = tuple(a - b for a, b in zip(lead_r, lead_d))
+        if any(e < 0 for e in shift):
+            return None
+        factor = remainder[lead_r] / divisor.coeffs[lead_d]
+        quotient[shift] = factor
+        for m, c in divisor.coeffs.items():
+            mono = tuple(a + b for a, b in zip(m, shift))
+            s = remainder.get(mono, Fraction(0)) - factor * c
+            if s == 0:
+                remainder.pop(mono, None)
+            else:
+                remainder[mono] = s
+    return Poly(p.arity, quotient)
+
+
+def test_try_divide_matches_the_scanned_division():
+    rng = random.Random(20141)
+    outcomes = {True: 0, False: 0}
+    for case in range(400):
+        arity = 1 + case % 5
+        a, b = (random_small_poly(rng, arity, max_terms=6, max_deg=3) for _ in range(2))
+        if b.is_zero():
+            continue
+        # a multiple of b, or in every other case a multiple plus a remainder
+        # that b usually does not divide
+        p = a * b if case % 2 else a * b + random_small_poly(rng, arity)
+        expected = scanned_try_divide(p, b)
+        got = p.try_divide(b)
+        assert got == expected, (case, p, b)
+        if got is not None:
+            assert list(got.coeffs) == list(expected.coeffs), case
+        outcomes[got is not None] += 1
+    assert min(outcomes.values()) > 50, outcomes
+
+
 # -- gcd ------------------------------------------------------------------------------
 
 
