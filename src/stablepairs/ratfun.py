@@ -26,9 +26,10 @@ is a few big-int multiplications.  The radix comes from a rigorous
 coefficient bound, the sum of |scalar| * prod(||form||_1 ** lift), so the
 balanced base-X digits of the packed sum are exactly its coefficients.  The
 result is then reduced by trial division against each denominator form
-instead of generic polynomial gcd.  That gcd (:func:`poly_gcd`, by
-subresultants) is the reduction of general ``RatFun`` arithmetic and the
-tests' oracle; no ``stablepairs`` command reaches it.
+(one term, as in ``FactoredRatFun.to_ratfun``, needs none) instead of
+generic polynomial gcd.  That gcd (:func:`poly_gcd`, by subresultants) is
+the reduction of general ``RatFun`` arithmetic and the tests' oracle; no
+``stablepairs`` command reaches it.
 """
 from __future__ import annotations
 
@@ -871,12 +872,8 @@ class FactoredRatFun:
         return self.scalar == 0
 
     def to_ratfun(self, arity):
-        if self.scalar == 0:
-            return RatFun.zero(arity)
-        num = _kronecker_sum([(1, {f: e for f, e in self.forms.items() if e > 0})], {}, arity)
-        den = _kronecker_sum([(1, {f: -e for f, e in self.forms.items() if e < 0})], {}, arity)
-        num_poly = Poly(arity, {m: self.scalar * c for m, c in num.items()})
-        return RatFun._trusted(num_poly, Poly(arity, den))
+        """The canonical RatFun of this term: the one-term sum_factored."""
+        return sum_factored([self], arity)
 
     def __repr__(self):
         return f"FactoredRatFun({self.scalar}, {self.forms})"
@@ -919,12 +916,13 @@ def _kronecker_sum(products, need, arity):
     B = sum(|scalar| * prod(||form||_1 ** lift)) < 2**(bits - 1)
     (_packing_bounds), and the balanced base-X digits of the packed sum are
     exactly its coefficients; they are read from the binary text of its
-    absolute value, bits per digit with a carry, in time linear in its size.
-    Packing is a ring homomorphism, so the packed sum may be formed in any
-    order: as a tree of halves (binary splitting), each half over its own
-    denominator exponents.  A merge walks each half's exponents once,
-    lifting the other half by the powers it lacks and keeping the larger
-    exponents; the root is lifted to need.
+    absolute value, zero-padded to whole digits plus one, bits per digit
+    with a carry, in time linear in its size.  Packing is a ring
+    homomorphism, so the packed sum may be formed in any order: as a tree of
+    halves (binary splitting), each half over its own denominator exponents.
+    A merge walks each half's exponents once, lifting the other half by the
+    powers it lacks and keeping the larger exponents; the root is lifted to
+    need.  A form is packed when first powered; unlifted forms never are.
     """
     degree = sum(need.values()) + sum(products[0][1].values())
     forms = set(need)
@@ -937,16 +935,13 @@ def _kronecker_sum(products, need, arity):
     for b in bounds:
         strides.append(strides[-1] * (b + 1))
     bits = bound.bit_length() + 1
-    packed_forms = {
-        f: sum(f[i] << (bits * s) for i, s in zip(packed, strides)) + f[last]
-        for f in forms
-    }
     powers = {}
 
     def power(form, e):
         p = powers.get((form, e))
         if p is None:
-            p = powers[form, e] = packed_forms[form] ** e
+            base = sum(form[i] << (bits * s) for i, s in zip(packed, strides)) + form[last]
+            p = powers[form, e] = base ** e
         return p
 
     def split_sum(lo, hi):
@@ -981,12 +976,13 @@ def _kronecker_sum(products, need, arity):
         if missing:
             total *= power(form, missing)
     sign = -1 if total < 0 else 1
-    text = "0" * bits + format(abs(total), "b")
+    text = format(abs(total), "b")
+    text = "0" * (bits + -len(text) % bits) + text
     half = 1 << (bits - 1)
     coeffs = {}
     carry = 0
     for position, end in enumerate(range(len(text), 0, -bits)):
-        digit = int(text[max(end - bits, 0):end], 2) + carry
+        digit = int(text[end - bits:end], 2) + carry
         carry = digit >= half
         if carry:
             digit -= half << 1
@@ -1013,8 +1009,10 @@ def sum_factored(terms, arity):
     sum(|L * scalar| * prod(||form||_1 ** lift)), read off each term's own
     exponents, and the balanced digits of the packed sum, over L, are the
     coefficients.  All denominator factors are irreducible linear forms, so
-    trial division against each form is a complete reduction; no generic
-    gcd runs in this path.
+    trial division against each form is a complete reduction, and no generic
+    gcd runs.  One nonzero term skips it: FactoredRatFun.product merges
+    equal forms, each primitive with a positive first entry, so the term's
+    numerator and denominator are already coprime.
     """
     terms = [t for t in terms if not t.is_zero()]
     if not terms:
@@ -1022,8 +1020,8 @@ def sum_factored(terms, arity):
     need = {}
     for t in terms:
         for form, e in t.forms.items():
-            if e < 0:
-                need[form] = max(need.get(form, 0), -e)
+            if -e > need.get(form, 0):
+                need[form] = -e
     groups = {}
     for t in terms:
         groups.setdefault(sum(t.forms.values()), []).append(t)
@@ -1038,9 +1036,9 @@ def sum_factored(terms, arity):
             total[mono] = Fraction(c, scale)
     if not total:
         return RatFun.zero(arity)
-    num_poly = Poly(arity, total)
+    num_poly = Poly._trusted(arity, total)
     remaining = dict(need)
-    for form in sorted(need):
+    for form in sorted(need) if len(terms) > 1 else ():
         form_poly = Poly.linear_form(form, arity)
         while remaining[form] > 0:
             q = num_poly.try_divide(form_poly)
@@ -1049,7 +1047,8 @@ def sum_factored(terms, arity):
             num_poly = q
             remaining[form] -= 1
     den = _kronecker_sum([(1, {})], remaining, arity)
-    return RatFun._trusted(num_poly, Poly(arity, den))
+    den_poly = Poly._trusted(arity, {m: Fraction(c) for m, c in den.items()})
+    return RatFun._trusted(num_poly, den_poly)
 
 
 # -- text format -------------------------------------------------------------------

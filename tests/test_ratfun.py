@@ -20,6 +20,7 @@ from stablepairs.ratfun import (
     residue_at,
     specialize,
     sum_factored,
+    _kronecker_sum,
     _primitive_form,
 )
 
@@ -646,6 +647,99 @@ def test_sum_factored_packing_bounds():
     # two variables: the univariate packing of the localization sums
     a = FactoredRatFun.product(3, [((1, 1), 4)])
     assert sum_factored([a, a], 2) == naive_ratfun(a.times_scalar(2), 2)
+
+
+def two_expansion_ratfun(term, arity):
+    """A factored term as a RatFun from two separate packed expansions, one
+    of its numerator forms and one of its denominator forms, with the scalar
+    multiplied in and no reduction: the reference for to_ratfun."""
+    if term.scalar == 0:
+        return RatFun.zero(arity)
+    num = _kronecker_sum([(1, {f: e for f, e in term.forms.items() if e > 0})], {}, arity)
+    den = _kronecker_sum([(1, {f: -e for f, e in term.forms.items() if e < 0})], {}, arity)
+    num_poly = Poly(arity, {m: term.scalar * c for m, c in num.items()})
+    return RatFun._trusted(num_poly, Poly(arity, den))
+
+
+def product_of_kind(rng, arity, kind):
+    """A FactoredRatFun.product term of one kind: a zero scalar, a constant,
+    numerator forms only, denominator forms only, both, or factors that
+    product merges (a form met again up to a unit, once cancelling)."""
+    pool = [random_form(rng, arity) for _ in range(2)] + [
+        tuple(rng.choice([0, 1, -1, 2]) for _ in range(arity - 1)) + (rng.choice([1, -3]),)
+    ]
+    exponents = {"zero": [-2, -1, 1, 2], "constant": [], "numerator": [1, 2, 3],
+                 "denominator": [-1, -2, -3], "mixed": [-3, -2, -1, 1, 2, 3],
+                 "merged": [-2, -1, 1, 2]}[kind]
+    factors = [(rng.choice(pool), rng.choice(exponents))
+               for _ in range(rng.randint(1, 4) if exponents else 0)]
+    if kind == "merged":
+        form, e = factors[0]
+        unit = rng.choice([-1, 2, -5])
+        factors.append((tuple(unit * c for c in form), rng.choice([-e, e, 1 - e])))
+        factors.append((pool[2], 1))
+        factors.append((tuple(-c for c in pool[2]), -1))
+    scalar = Fraction(0) if kind == "zero" else random_scalar(rng)
+    return FactoredRatFun.product(scalar, factors), factors
+
+
+def test_to_ratfun_matches_the_two_expansion_reference():
+    """to_ratfun, the one-term sum_factored, gives the same canonical RatFun,
+    coefficient for coefficient and in text, as separate expansions of the
+    numerator and denominator forms, on about 300 product terms of arity
+    1-5."""
+    rng = random.Random(1515)
+    kinds = ["zero", "constant", "numerator", "denominator", "mixed", "merged"]
+    covered = set()
+    for case in range(300):
+        arity = 1 + case % 5
+        term, factors = product_of_kind(rng, arity, kinds[case % 6])
+        exponents = term.forms.values()
+        if term.is_zero():
+            covered.add("zero")
+        elif not exponents:
+            covered.add("constant")
+        elif min(exponents) > 0 or max(exponents) < 0:
+            covered.add("numerator" if min(exponents) > 0 else "denominator")
+        else:
+            covered.add("mixed")
+        if len(term.forms) < len(factors):
+            covered.add("merged")
+        got, want = term.to_ratfun(arity), two_expansion_ratfun(term, arity)
+        assert got == want, (case, term)
+        assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs), case
+        assert ratfun_str(got) == ratfun_str(want), case
+    assert covered == set(kinds)
+
+
+def test_one_term_sum_runs_no_trial_division(monkeypatch):
+    """One nonzero term, alone or beside zero terms, is reduced already: its
+    sum calls no Poly.try_divide and equals the gcd-reduced generic RatFun
+    of the term (naive_ratfun).  Two terms still trial-divide."""
+    rng = random.Random(1516)
+    cases = []
+    for case in range(60):
+        arity = 1 + case % 5
+        pool = [tuple(rng.choice([0, 1, -1, 2, -3]) for _ in range(arity - 1))
+                + (rng.choice([1, 2, -1]),) for _ in range(3)]
+        factors = [(rng.choice(pool), rng.choice([-3, -2, -1, 1, 2]))
+                   for _ in range(rng.randint(1, 4))]
+        factors.append((pool[0], -1))
+        term = FactoredRatFun.product(random_scalar(rng), factors)
+        cases.append((term, arity, naive_ratfun(term, arity)))
+
+    def refuse(self, divisor):
+        raise AssertionError("a one-term sum was trial-divided")
+
+    monkeypatch.setattr(Poly, "try_divide", refuse)
+    for term, arity, want in cases:
+        zero = term.times_scalar(0)
+        assert sum_factored([term], arity) == want, term
+        assert sum_factored([zero, term, zero], arity) == want, term
+        assert term.to_ratfun(arity) == want, term
+    term, arity, _ = next(c for c in cases if min(c[0].forms.values(), default=0) < 0)
+    with pytest.raises(AssertionError, match="trial-divided"):
+        sum_factored([term, term], arity)
 
 
 def test_factored_product_normalizes_in_one_pass():
