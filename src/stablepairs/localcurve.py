@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import chain, combinations
 
 from .equivariant import (
     EqLineBundleP1,
@@ -75,6 +75,14 @@ class Composition:
         object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
         if any(p < 0 for p in self.parts) or not self.parts:
             raise ValueError(f"composition parts {self.parts} must be nonnegative and nonempty")
+
+    @classmethod
+    def _trusted(cls, parts):
+        """Internal: wrap a nonempty tuple of nonnegative ints as is, with no
+        re-validation (enumerate_fixed_points makes its own parts)."""
+        comp = object.__new__(cls)
+        object.__setattr__(comp, "parts", parts)
+        return comp
 
     @property
     def d(self):
@@ -130,7 +138,8 @@ def enumerate_fixed_points(n, d):
     # d + slots - 1 positions, and the bar sets in reverse lex order give the
     # compositions in reverse lex order
     width = d + slots - 1
-    return [Composition(tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (width,))))
+    trusted = Composition._trusted
+    return [trusted(tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (width,))))
             for bars in reversed(list(combinations(range(width), slots - 1)))]
 
 
@@ -192,6 +201,29 @@ def _first_sum_block(k, i, part):
     return tuple((j, 0, 0, -j2) for j in range(-(k - i), i + 1) for j2 in range(part))
 
 
+def _pair_characters(gap, di, dj):
+    """(weight, multiplicity) of the second-sum term of half_obstruction_general
+    for nonzero parts d_i, d_j at slots gap apart:
+    t0^gap (1 - t3^d_i - t3^-d_j + t3^(d_i - d_j)).  The first and last
+    characters coincide when d_i = d_j."""
+    return (((gap, 0, 0, 0), 1), ((gap, 0, 0, di), -1),
+            ((gap, 0, 0, -dj), -1), ((gap, 0, 0, di - dj), 1))
+
+
+def _last_sum_characters(part):
+    """(weight, multiplicity) of one nonzero part's last-sum term 1 - t3^part."""
+    return (((0, 0, 0, 0), 1), ((0, 0, 0, part), -1))
+
+
+def _summed(characters):
+    """The KClass of (weight, multiplicity) pairs, summed in order, zero
+    sums dropped."""
+    terms = {}
+    for w, m in characters:
+        terms[w] = terms.get(w, 0) + m
+    return KClass._trusted({w: m for w, m in terms.items() if m})
+
+
 def half_obstruction_general(comp):
     """Square root of the obstruction class at a composition fixed point
     (standard (-1,-1,0) geometry).
@@ -207,20 +239,31 @@ def half_obstruction_general(comp):
     """
     k = comp.k
     nonzero = [(i, part) for i, part in enumerate(comp.parts) if part]
-    terms = {}
-    for i, part in nonzero:
-        for w in _first_sum_block(k, i, part):
-            terms[w] = terms.get(w, 0) - 1
-    for a, (i, di) in enumerate(nonzero):
-        for j, dj in nonzero[a + 1:]:
-            # the characters coincide when d_i = d_j and must then cancel
-            for w, m in (((j - i, 0, 0, 0), 1), ((j - i, 0, 0, di), -1),
-                         ((j - i, 0, 0, -dj), -1), ((j - i, 0, 0, di - dj), 1)):
-                terms[w] = terms.get(w, 0) + m
-    for _, part in nonzero:
-        for w, m in (((0, 0, 0, 0), 1), ((0, 0, 0, part), -1)):
-            terms[w] = terms.get(w, 0) + m
-    return KClass._trusted({w: m for w, m in terms.items() if m})
+    return _summed(chain(
+        ((w, -1) for i, part in nonzero for w in _first_sum_block(k, i, part)),
+        (c for a, (i, di) in enumerate(nonzero) for j, dj in nonzero[a + 1:]
+         for c in _pair_characters(j - i, di, dj)),
+        (c for _, part in nonzero for c in _last_sum_characters(part)),
+    ))
+
+
+def _euler_items(block):
+    """(num, den, ((form, exponent), ...)) of the Euler class of a block."""
+    euler = euler_factored(block)
+    return euler.scalar.numerator, euler.scalar.denominator, tuple(euler.forms.items())
+
+
+@lru_cache(maxsize=1 << 12)
+def _part_block_factors(k, i, part):
+    """One nonzero part's block: minus its first-sum block plus its last-sum
+    term, between which the trivial character cancels."""
+    return _euler_items(_summed(chain(((w, -1) for w in _first_sum_block(k, i, part)),
+                                      _last_sum_characters(part))))
+
+
+@lru_cache(maxsize=1 << 12)
+def _pair_block_factors(gap, di, dj):
+    return _euler_items(_summed(_pair_characters(gap, di, dj)))
 
 
 def full_obstruction_general(comp, geom=GEOM_STANDARD):
@@ -244,13 +287,37 @@ def orientation_sign(comp):
 
 
 def _contribution_general(comp):
-    """Signed Euler class of the obstruction square root.
+    """Signed Euler class of the obstruction square root H(c).
 
     The square root has virtual-negative multiplicities, so its Euler class
-    is already the required inverse product of weight forms.
+    is already the required inverse product of weight forms.  H(c) splits
+    into trivial-free blocks that recur across fixed points: one per nonzero
+    part d_i at slot i, keyed (k, i, d_i), holding its first-sum characters
+    and its last-sum term 1 - t3^d_i; and one per pair of nonzero parts at
+    slots i < j, keyed (j - i, d_i, d_j).  The Euler class is multiplicative,
+    so the term is one merge of the blocks' cached Euler factors and one
+    Fraction.  A block's factors are filled once, through euler_factored,
+    which raises TrivialWeightError on a block that keeps the trivial
+    character; a raising fill is not cached.
     """
-    half = half_obstruction_general(comp)
-    return euler_factored(half).times_scalar(orientation_sign(comp))
+    parts = comp.parts
+    k = len(parts) - 1
+    nonzero = [(i, part) for i, part in enumerate(parts) if part]
+    blocks = [_part_block_factors(k, i, part) for i, part in nonzero]
+    blocks += [_pair_block_factors(j - i, di, dj)
+               for a, (i, di) in enumerate(nonzero) for j, dj in nonzero[a + 1:]]
+    num, den, forms = orientation_sign(comp), 1, {}
+    get = forms.get
+    for block_num, block_den, items in blocks:
+        num *= block_num
+        den *= block_den
+        for form, e in items:
+            e += get(form, 0)
+            if e:
+                forms[form] = e
+            else:
+                del forms[form]
+    return FactoredRatFun._trusted(Fraction(num, den), forms)
 
 
 def _contribution_d1(point, geom):
@@ -331,23 +398,46 @@ def js_invariant_enumerated(n, d, geom=GEOM_STANDARD, jobs=1, audit=False):
 
 def _closed_form_term(comp):
     """One composition's summand of the closed product formula, prefactor
-    included."""
+    included, as its net factor list after two cancellations.
+
+    Write the row factors b l0 + a l3 (b <= k - i) and -b l0 + a l3 (b <= i)
+    of part d_i as (j - i) l0 + a l3 over the slots j != i.
+    * The superfactorial: prod_{i<j} (j - i) over all pairs of slots is
+      1! 2! ... k!, the prefactor, and there are k(k+1)/2 pairs, its power
+      of l0.  So each pair factor enters divided by (j - i) l0, and a pair
+      of zero parts, or of equal parts, contributes 1.
+    * Rows a = d_i: a pair of a nonzero part d_i at slot i and a zero at
+      slot j has the numerator (j - i) l0 + d_i l3 (j > i) or its negative
+      (j < i), which cancels row d_i's factor at slot j.  What is left of
+      the pair is 1 / ((j - i) l0), its sign included.
+    So for p nonzero parts the term is, with O(p k + (d - p) k) factors,
+        1 / (prod_i d_i! * l3^d * prod_{i nonzero, j zero} (j - i) l0)
+        * prod_{i<j nonzero} ((j - i) l0 + (d_i - d_j) l3) / ((j - i) l0)
+        / prod_{i nonzero} [prod_{j != i nonzero} ((j - i) l0 + d_i l3)
+                            * prod_{a < d_i, j != i} ((j - i) l0 + a l3)].
+    """
     parts = comp.parts
-    k = comp.k
-    scalar = 1
-    for i in range(1, k + 1):
-        scalar *= math.factorial(i)
-    for part in parts:
-        scalar *= math.factorial(part)
-    factors = [((1, 0, 0, 0), -(k * (k + 1)) // 2), ((0, 0, 0, 1), -comp.d)]
-    for i in range(k + 1):
-        for j in range(i + 1, k + 1):
-            factors.append(((j - i, 0, 0, parts[i] - parts[j]), 1))
+    slots = range(len(parts))
+    den, l0 = 1, 0
+    factors = [((0, 0, 0, 1), -comp.d)]
     for i, part in enumerate(parts):
-        for a in range(1, part + 1):
-            factors.extend(((b, 0, 0, a), -1) for b in range(1, k - i + 1))
-            factors.extend(((-b, 0, 0, a), -1) for b in range(1, i + 1))
-    return FactoredRatFun.product(Fraction(1, scalar), factors)
+        if not part:
+            continue
+        den *= math.factorial(part)
+        for j, other in enumerate(parts):
+            if j == i:
+                continue
+            if other:
+                factors.append(((j - i, 0, 0, part), -1))
+                if j < i:
+                    continue  # the pair is counted at its first slot
+                factors.append(((j - i, 0, 0, part - other), 1))
+            den *= j - i
+            l0 -= 1
+        for a in range(1, part):
+            factors.extend(((j - i, 0, 0, a), -1) for j in slots if j != i)
+    factors.append(((1, 0, 0, 0), l0))
+    return FactoredRatFun.product(Fraction(1, den), factors)
 
 
 def js_invariant_closed_form(n, d, jobs=1, audit=False):

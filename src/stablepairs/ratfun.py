@@ -604,13 +604,14 @@ class RatFun:
 
     @classmethod
     def _trusted(cls, num, den):
-        """Internal: build without gcd reduction (num/den already coprime).
-
-        Still normalizes the denominator to integer-primitive positive-leading
-        form so equality and printing stay canonical.
-        """
+        """Internal: wrap an already canonical pair as is: num/den coprime,
+        den integer-primitive with positive leading coefficient, nonzero num
+        (zero is RatFun.zero()).  A product of primitive linear forms with
+        positive first entries is such a den: it is primitive by Gauss's
+        lemma, and its grlex leading coefficient is the product of theirs,
+        their first nonzero entries."""
         out = cls.__new__(cls)
-        out.num, out.den = _normalized(num, den)
+        out.num, out.den = num, den
         out._hash = None
         return out
 
@@ -845,6 +846,15 @@ class FactoredRatFun:
         self.forms = dict(forms) if forms else {}
 
     @classmethod
+    def _trusted(cls, scalar, forms):
+        """Internal: wrap a Fraction and a fresh {primitive form: nonzero
+        exponent} dict as is, with no conversion and no copy."""
+        out = cls.__new__(cls)
+        out.scalar = scalar
+        out.forms = forms
+        return out
+
+    @classmethod
     def product(cls, scalar, factors):
         """scalar * prod(form ** exponent) over (integer form, exponent)
         pairs, each form normalized once per process (_primitive_form)."""
@@ -863,7 +873,7 @@ class FactoredRatFun:
             else:
                 forms.pop(form, None)
         scalar = Fraction(scalar)
-        return cls(Fraction(scalar.numerator * num, scalar.denominator * den), forms)
+        return cls._trusted(Fraction(scalar.numerator * num, scalar.denominator * den), forms)
 
     def times_scalar(self, value):
         return FactoredRatFun(self.scalar * value, self.forms)
@@ -1012,7 +1022,8 @@ def sum_factored(terms, arity):
     trial division against each form is a complete reduction, and no generic
     gcd runs.  One nonzero term skips it: FactoredRatFun.product merges
     equal forms, each primitive with a positive first entry, so the term's
-    numerator and denominator are already coprime.
+    numerator and denominator are already coprime.  The denominator left is
+    a product of such forms, so it is canonical as it stands (RatFun._trusted).
     """
     terms = [t for t in terms if not t.is_zero()]
     if not terms:

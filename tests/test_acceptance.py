@@ -14,11 +14,15 @@ from contextlib import redirect_stdout, redirect_stderr
 from fractions import Fraction
 
 from stablepairs.cli import main as cli_main
-from stablepairs.equivariant import SplitGeometry, check_square_root
+from stablepairs.equivariant import SplitGeometry, check_square_root, euler_factored
 from stablepairs.localcurve import (
     GEOM_STANDARD,
+    _closed_form_term,
     _contribution_d1,
     _contribution_general,
+    _first_sum_block,
+    _pair_block_factors,
+    _part_block_factors,
     d1_fixed_points,
     enumerate_fixed_points,
     expected_conjecture_value,
@@ -27,9 +31,18 @@ from stablepairs.localcurve import (
     is_homogeneous_of_degree,
     js_invariant_closed_form,
     js_invariant_enumerated,
+    orientation_sign,
     residue_vanishing_check,
 )
-from stablepairs.ratfun import FactoredRatFun, Poly, RatFun
+from stablepairs.ratfun import (
+    FactoredRatFun,
+    Poly,
+    RatFun,
+    _normalized,
+    _primitive_form,
+    ratfun_str,
+    sum_factored,
+)
 from stablepairs.series import (
     ClassLattice,
     GVTable,
@@ -83,14 +96,15 @@ def test_criterion_1_degree_one_closed_form():
     assert time.perf_counter() - start < 1.0
 
 
+CRITERION_2_GRID = [(ratio * d, d) for d in range(1, 5) for ratio in range(1, 6)]
+
+
 def test_criterion_2_closed_formula_matches_enumeration():
     start = time.perf_counter()
-    for d in range(1, 5):
-        for ratio in range(1, 6):
-            n = ratio * d
-            closed = js_invariant_closed_form(n, d).value
-            enumerated = js_invariant_enumerated(n, d).value
-            assert closed == enumerated, (n, d)
+    for n, d in CRITERION_2_GRID + [(60, 4), (120, 2)]:
+        closed = js_invariant_closed_form(n, d).value
+        enumerated = js_invariant_enumerated(n, d).value
+        assert closed == enumerated, (n, d)
     assert time.perf_counter() - start < 60.0
 
 
@@ -263,6 +277,112 @@ def test_packing_bounds_of_the_sweep_match_the_lifted_reference(packing_bounds_s
         js_invariant_enumerated(n, d)
     # one packed sum at least for every spot with fixed points
     assert len(packing_bounds_seen) >= sum(n % d == 0 for n, d in spots)
+
+
+def reference_contribution(comp):
+    """The enumerated term as the signed Euler class of the whole half
+    obstruction: the reference for _contribution_general's cached blocks."""
+    return euler_factored(half_obstruction_general(comp)).times_scalar(orientation_sign(comp))
+
+
+def reference_closed_form_term(comp):
+    """The closed formula's summand with every factor as written: the
+    superfactorial prefactor, l0^-(k(k+1)/2), all k(k+1)/2 pair factors and
+    every (a, b) row factor of every part.  The reference for
+    _closed_form_term's cancelled factor list."""
+    parts = comp.parts
+    k = comp.k
+    scalar = 1
+    for i in range(1, k + 1):
+        scalar *= math.factorial(i)
+    for part in parts:
+        scalar *= math.factorial(part)
+    factors = [((1, 0, 0, 0), -(k * (k + 1)) // 2), ((0, 0, 0, 1), -comp.d)]
+    for i in range(k + 1):
+        for j in range(i + 1, k + 1):
+            factors.append(((j - i, 0, 0, parts[i] - parts[j]), 1))
+    for i, part in enumerate(parts):
+        for a in range(1, part + 1):
+            factors.extend(((b, 0, 0, a), -1) for b in range(1, k - i + 1))
+            factors.extend(((-b, 0, 0, a), -1) for b in range(1, i + 1))
+    return FactoredRatFun.product(Fraction(1, scalar), factors)
+
+
+def kernel_compositions():
+    """(n, d, compositions) of the acceptance sweep, the deep tiers, every
+    fixed point of (60,4), and 200 seeded fixed points each of (120,2) and
+    (180,2)."""
+    spots = CRITERION_2_GRID + DEEP_SPOTS + [(60, 4)]
+    for family in VANISHING_FAMILIES.values():
+        spots += family
+    for n, d in spots:
+        yield n, d, enumerate_fixed_points(n, d)
+    rng = random.Random(16)
+    for n, d in [(120, 2), (180, 2)]:
+        yield n, d, rng.sample(enumerate_fixed_points(n, d), 200)
+
+
+def same_term(term, reference):
+    return term.scalar == reference.scalar and term.forms == reference.forms
+
+
+KERNELS = [(_contribution_general, reference_contribution),
+           (_closed_form_term, reference_closed_form_term)]
+
+
+def test_both_kernels_match_their_references():
+    for kernel, reference in KERNELS:
+        for n, d, comps in kernel_compositions():
+            for comp in comps:
+                assert same_term(kernel(comp), reference(comp)), (kernel, n, d, comp.parts)
+
+
+def test_kernel_terms_are_fresh_and_independent_of_the_caches():
+    caches = (_part_block_factors, _pair_block_factors, _first_sum_block, _primitive_form)
+    comps = [c for n, d in [(12, 3), (30, 5), (24, 6), (42, 2)]
+             for c in enumerate_fixed_points(n, d)]
+    for kernel, reference in KERNELS:
+        for cache in caches:
+            cache.cache_clear()
+        cold = [kernel(comp) for comp in comps]
+        warm = [kernel(comp) for comp in comps]
+        for comp, a, b in zip(comps, cold, warm):
+            assert same_term(a, b), (kernel, comp.parts)
+            # a caller that mutates a term cannot reach a later one
+            a.forms.clear()
+            a.forms[(5, 0, 0, 5)] = 7
+        for comp, b in zip(comps, warm):
+            assert same_term(kernel(comp), reference(comp)), (kernel, comp.parts)
+            assert same_term(b, reference(comp)), (kernel, comp.parts)
+
+
+def test_sum_factored_results_are_already_canonical(monkeypatch):
+    """_normalized leaves every denominator sum_factored returns as it is,
+    so the result needs no re-normalization: the invariants and the --audit
+    terms of the acceptance sweep and the deep tiers, both methods."""
+    seen = []
+
+    def recorded(terms, arity):
+        result = sum_factored(terms, arity)
+        seen.append(result)
+        return result
+
+    monkeypatch.setattr("stablepairs.ratfun.sum_factored", recorded)
+    monkeypatch.setattr("stablepairs.localcurve.sum_factored", recorded)
+    spots = CRITERION_2_GRID + DEEP_SPOTS
+    for family in VANISHING_FAMILIES.values():
+        spots += family
+    for n, d in spots:
+        js_invariant_enumerated(n, d, audit=(n, d) in CRITERION_2_GRID + DEEP_SPOTS)
+        if n % d == 0:
+            js_invariant_closed_form(n, d)
+    assert len(seen) > len(spots)
+    for result in seen:
+        num, den = _normalized(result.num, result.den)
+        if result.is_zero():
+            assert (num, den) == (result.num, result.den)
+        else:
+            assert num is result.num and den is result.den, ratfun_str(result)
 
 
 def test_criterion_6_invariants_are_homogeneous_of_degree_minus_n():

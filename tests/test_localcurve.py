@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from stablepairs import localcurve
 from stablepairs.equivariant import (
     KClass,
     SplitGeometry,
@@ -36,6 +37,8 @@ from stablepairs.localcurve import (
     residue_vanishing_check,
     verify_conjecture,
     _contribution_general,
+    _pair_block_factors,
+    _part_block_factors,
     _residue_term,
     _residues_at_l3_one,
     _POOL_MIN_FIXED_POINTS,
@@ -101,6 +104,20 @@ def test_enumeration_rejects_bad_degree():
         enumerate_fixed_points(4, 0)
     with pytest.raises(ValueError):
         enumerate_fixed_points(4, -1)
+
+
+def test_enumerated_compositions_equal_validated_ones():
+    # the enumeration wraps its own parts unchecked; the result is the
+    # validated composition, and every other caller's parts are still checked
+    for n, d in [(4, 2), (12, 3), (30, 5), (42, 2), (36, 9)]:
+        for comp in enumerate_fixed_points(n, d):
+            validated = Composition(comp.parts)
+            assert comp == validated and hash(comp) == hash(validated)
+            assert type(comp.parts) is tuple and all(type(p) is int for p in comp.parts)
+    assert Composition([2, 0]).parts == (2, 0)
+    for bad in [(), (1, -1), (-2,)]:
+        with pytest.raises(ValueError):
+            Composition(bad)
 
 
 def test_composition_labels():
@@ -190,15 +207,35 @@ def test_trivial_weight_always_cancels():
             euler_factored(half_obstruction_general(comp))  # must not raise
 
 
-def test_contribution_keeps_the_trivial_weight_check(monkeypatch):
-    # a surviving trivial character must raise, never reach the product
+@pytest.fixture
+def cold_block_caches():
+    """The contribution's block caches, emptied before and after the test."""
+    caches = (_part_block_factors, _pair_block_factors)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_contribution_keeps_the_trivial_weight_check(monkeypatch, cold_block_caches):
+    # a trivial character surviving in a part block or a pair block must
+    # raise, never reach the product, and the raising fill is not cached:
+    # every block is trivial-free
     comp = Composition((1, 1))
-    with_trivial = KClass(half_obstruction_general(comp).terms | {(0, 0, 0, 0): -1})
-    monkeypatch.setattr("stablepairs.localcurve.half_obstruction_general",
-                        lambda _: with_trivial)
-    for _ in range(2):
-        with pytest.raises(TrivialWeightError):
-            _contribution_general(comp)
+    last_sum, pair_characters = localcurve._last_sum_characters, localcurve._pair_characters
+    for name, with_trivial, cache in [
+        # the part block loses the +1 that cancels its first sum's -1
+        ("_last_sum_characters", lambda part: last_sum(part)[1:], _part_block_factors),
+        ("_pair_characters", lambda *key: pair_characters(*key) + (((0, 0, 0, 0), -1),),
+         _pair_block_factors),
+    ]:
+        with monkeypatch.context() as patch:
+            patch.setattr(localcurve, name, with_trivial)
+            for _ in range(2):
+                with pytest.raises(TrivialWeightError):
+                    _contribution_general(comp)
+        assert cache.cache_info().currsize == 0, name
 
 
 def test_orientation_sign():
