@@ -29,11 +29,14 @@ D = lcm of the n0 denominators and E = lcm of the P(0, beta) denominators
 (D^n E P^t(n, beta) is an int); a product over the two operands' lcms; _exp
 over L_w, the lcm of the denominators on weight level w, times the series'
 own lcm; and the jump formula of a wall check over D^n E K_W, K_W the lcm of
-the wall series' denominators.  Every multiple-cover sum (the genus-zero and
-genus-one Gromov-Witten forms and the log series of a synthesized degree-zero
-part) is one sum over the divisors k of a class, weighted by 1/k^2,
-sigma(k)/k, 1/k or logM_k.  Wall checks, wall predicates and the
-Gromov-Witten conversions live here too.
+the wall series' denominators.  A wall check reads those ints from a table
+of every D^n E P^t(n, beta) of a chamber, filled level by level in n, and
+keeps the two chambers of its wall, series and table, on the GVTable, so a
+sweep over the walls builds each chamber once; a table is immutable once
+used.  Every multiple-cover sum (the genus-zero and genus-one Gromov-Witten
+forms and the log series of a synthesized degree-zero part) is one sum over
+the divisors k of a class, weighted by 1/k^2, sigma(k)/k, 1/k or logM_k.
+Wall checks, wall predicates and the Gromov-Witten conversions live here too.
 """
 from __future__ import annotations
 
@@ -321,8 +324,10 @@ class GVTable:
     n0 denominators) and E (of the P(0, beta) denominators), the synthesized
     p0 and the split table of pt_coeff_from_gv (for each class beta, the
     stored classes gamma <= beta with their degree, D n0(gamma) and
-    beta - gamma, heaviest first) are built on first use and kept.  None of
-    them takes part in equality.
+    beta - gamma, heaviest first) are built on first use and kept.  So is
+    the chamber store of wall_jump_check: the series and pair-count table of
+    the last check's two chambers, keyed by nmax and the lowest stored
+    degree the chamber admits.  None of them takes part in equality.
     """
 
     lattice: ClassLattice
@@ -335,6 +340,7 @@ class GVTable:
     _p0_scale: int = field(default=None, repr=False, compare=False)
     _p0_cache: dict = field(default=None, repr=False, compare=False)
     _split_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _chambers: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.n0 = {tuple(b): Fraction(v) for b, v in self.n0.items() if Fraction(v)}
@@ -471,7 +477,13 @@ class TParam:
     side: int = 0
 
     def __post_init__(self):
+        if self.kind not in ("finite", "zero_plus", "infinity"):
+            raise ValueError(f"unknown stability parameter kind {self.kind!r}")
+        if self.side not in (-1, 0, 1):
+            raise ValueError(f"side must be -1, 0 or +1, got {self.side!r}")
         if self.kind == "finite":  # 1/t, outside the fields; an int when it is one
+            if self.value is None or self.value <= 0:
+                raise ValueError(f"stability parameter must be positive, got {self.value}")
             threshold = 1 / self.value
             if threshold == int(threshold):
                 threshold = int(threshold)
@@ -569,7 +581,7 @@ class TruncatedSeries:
         return cls(lattice, nmax, {(0, lattice.zero()): Fraction(1)})
 
     def coefficient(self, n, beta):
-        return self.coeffs.get((n, tuple(beta)), Fraction(0))
+        return self.coeffs.get((n, tuple(beta)), _FRACTION_ZERO)
 
     def __eq__(self, other):
         return (
@@ -769,8 +781,8 @@ def wall_factor_series(t0, gv, nmax):
 
 
 def wall_classes(t0, gv):
-    t0 = Fraction(t0)
-    return [b for b in sorted(gv.n0) if gv.lattice.deg(b) == 1 / t0]
+    threshold = 1 / Fraction(t0)
+    return [b for b in sorted(gv.n0) if gv.lattice.deg(b) == threshold]
 
 
 def js_from_gv(n, beta, gv):
@@ -790,6 +802,54 @@ def js_from_gv(n, beta, gv):
 # -- wall-crossing checks --------------------------------------------------------------
 
 
+def _lowest_admitted(t, gv):
+    """The smallest stored degree that t admits, or None: t admits exactly
+    the stored classes of at least that degree, so it names the chamber."""
+    return min((d for d in set(map(gv.lattice.deg, gv.n0)) if t.admits(d)), default=None)
+
+
+def _pair_counts(t, gv, nmax):
+    """g[n][i] = D^n E P^t(n, beta_i), ints, for n <= _top_n(gv, nmax) and
+    beta_i the i-th class of the lattice: g[0][i] = E P(0, beta_i), and each
+    level sums a_gamma g[n-1][index of beta_i - gamma] over the prefix of the
+    split list of beta_i that t admits, cut once for all levels."""
+    classes = gv.lattice.classes()
+    index = {beta: i for i, beta in enumerate(classes)}
+    level = [gv._scaled_p0(beta) for beta in classes]
+    g = [level]
+    top = _top_n(gv, nmax)
+    if top > 0:
+        admits = t.admits
+        prefixes = []
+        for beta in classes:
+            prefix = []
+            for deg, mult, rest in gv._splits(beta):
+                if not admits(deg):
+                    break
+                prefix.append((mult, index[rest]))
+            prefixes.append(prefix)
+        for _ in range(top):
+            level = [sum([mult * level[j] for mult, j in prefix]) for prefix in prefixes]
+            g.append(level)
+    return g
+
+
+def _chambers(gv, nmax, sides):
+    """[(chamber series, pair-count table g)] for the parameters ``sides``,
+    from the table's store.  An entry is keyed by nmax and the chamber's
+    lowest admitted degree, so adjacent walls share the chamber between
+    them; a missing one is built, and afterwards the store keeps only the
+    entries of ``sides``."""
+    store = gv._chambers
+    keys = [(nmax, _lowest_admitted(t, gv)) for t in sides]
+    for t, key in zip(sides, keys):
+        if key not in store:
+            store[key] = (pt_series_from_gv(t, gv, nmax), _pair_counts(t, gv, nmax))
+    for key in set(store).difference(keys):
+        del store[key]
+    return [store[key] for key in keys]
+
+
 def wall_jump_check(t0, gv, nmax):
     """Check the wall-crossing identities across t0 on every coefficient.
 
@@ -805,13 +865,18 @@ def wall_jump_check(t0, gv, nmax):
     every k >= 2 term vanishes.
 
     The three sides of each row are compared as ints over D^n E K_W, with
-    K_W the common denominator of the wall series.
+    K_W the common denominator of the wall series.  The two chambers, each
+    its series and its table of D^n E P^t(n, beta), come from the table's
+    chamber store, which keeps this call's two afterwards: a sweep over
+    the walls in ascending or descending order builds each chamber once.
+    So the table must not change once used.
     """
     t0 = Fraction(t0)
     lattice = gv.lattice
     plus, minus = TParam.plus(t0), TParam.minus(t0)
     wall = wall_factor_series(t0, gv, nmax)
-    series_ok = pt_series_from_gv(plus, gv, nmax) == wall * pt_series_from_gv(minus, gv, nmax)
+    (series_plus, g_plus), (series_minus, g_minus) = _chambers(gv, nmax, (plus, minus))
+    series_ok = series_plus == wall * series_minus
     classes_on_wall = wall_classes(t0, gv)
     # over D^n E K_W, W(k, b'') P^-(n-k, .) is D^k (K_W W(k, b'')) g^-(n-k, .)
     # and n0(b'') P^-(n-1, .) is (K_W D n0(b'')) g^-(n-1, .)
@@ -821,24 +886,25 @@ def wall_jump_check(t0, gv, nmax):
                   for (k, b2), w in wall.coeffs.items() if k]
     wall_n0 = [(b2, _over(gv.n0[b2], scale_d) * scale_w) for b2 in classes_on_wall]
 
-    memo_plus, memo_minus = {}, {}
     rows = []
     all_ok = series_ok
     n_top = _top_n(gv, nmax)
-    for beta in lattice.classes():
-        # the wall terms and wall classes inside beta, with what is left of it
-        terms_in = [(k, w, rest) for k, b2, w in wall_terms
+    classes = lattice.classes()
+    index = {beta: i for i, beta in enumerate(classes)}
+    for i, beta in enumerate(classes):
+        # the wall terms and wall classes inside beta, with the index of
+        # what is left of it
+        terms_in = [(k, w, index[rest]) for k, b2, w in wall_terms
                     if (rest := _rest(beta, b2)) is not None]
-        wall_in = [(mult, rest) for b2, mult in wall_n0
+        wall_in = [(mult, index[rest]) for b2, mult in wall_n0
                    if (rest := _rest(beta, b2)) is not None]
         for n in range(n_top + 1):
-            jump = scale_w * (_scaled_pt(plus, n, beta, gv, memo_plus)
-                              - _scaled_pt(minus, n, beta, gv, memo_minus))
+            jump = scale_w * (g_plus[n][i] - g_minus[n][i])
             id_wcf = 0
             active_k1 = 0
             higher_terms_vanish = True
-            for k, w, rest in terms_in:
-                sub = k <= n and _scaled_pt(minus, n - k, rest, gv, memo_minus)
+            for k, w, j in terms_in:
+                sub = k <= n and g_minus[n - k][j]
                 if sub:
                     id_wcf += math.perm(n, k) * w * sub
                     if k == 1:
@@ -846,8 +912,8 @@ def wall_jump_check(t0, gv, nmax):
                     else:
                         higher_terms_vanish = False
             mspace = 0
-            for mult, rest in wall_in:
-                sub = n and _scaled_pt(minus, n - 1, rest, gv, memo_minus)
+            for mult, j in wall_in:
+                sub = n and g_minus[n - 1][j]
                 if sub:
                     mspace += n * mult * sub
             simple = active_k1 == 1 and higher_terms_vanish

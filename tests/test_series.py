@@ -32,7 +32,11 @@ from stablepairs.series import (
     wall_factor_series,
     wall_jump_check,
     _exp,
+    _pair_counts,
+    _scaled_pt,
+    _top_n,
 )
+from stablepairs import series as series_module
 
 LOCAL_P2_LATTICE = ClassLattice(1, (1,), 6)
 
@@ -168,6 +172,22 @@ def test_tparam_labels():
     assert TParam.zero_plus().label() == "0+"
     assert TParam.plus(Fraction(1, 2)).label() == "1/2+"
     assert TParam.exact(3).label() == "3"
+
+
+def test_tparam_refuses_what_it_cannot_mean():
+    for make in (TParam.exact, TParam.plus, TParam.minus):
+        for t in (0, -1, Fraction(-1, 2)):
+            with pytest.raises(ValueError, match=f"must be positive, got {t}$"):
+                make(t)
+    with pytest.raises(ValueError, match="must be positive, got None"):
+        TParam("finite")
+    with pytest.raises(ValueError, match="unknown stability parameter kind 'zero'"):
+        TParam("zero")
+    with pytest.raises(ValueError, match=r"side must be -1, 0 or \+1, got 2"):
+        TParam("finite", Fraction(1), 2)
+    # a negative wall location no longer reads as the large-volume limit
+    with pytest.raises(ValueError, match="must be positive, got -1"):
+        wall_jump_check(-1, local_p2_table(), 2)
 
 
 # -- the local plane fixture ------------------------------------------------------------
@@ -891,7 +911,59 @@ def test_wall_sweep_keeps_only_the_split_table():
         fields = set(vars(gv))
         for d in sorted({gv.lattice.deg(beta) for beta in gv.n0}, reverse=True):
             assert wall_jump_check(Fraction(1, d), gv, 3)["ok"]
+            assert len(gv._chambers) <= 2
         classes = set(gv.lattice.classes())
         assert set(vars(gv)) == fields
         assert set(gv._split_cache) <= classes
         assert fresh == gv
+
+
+def wall_sweeps(rng, degrees):
+    """Orders of the walls 1/d: ascending, descending, shuffled, and each
+    wall twice in a row."""
+    shuffled = list(degrees)
+    rng.shuffle(shuffled)
+    return [sorted(degrees), sorted(degrees, reverse=True), shuffled,
+            [d for d in degrees for _ in range(2)]]
+
+
+def test_chamber_store_gives_the_reports_of_a_fresh_table(monkeypatch):
+    rng = random.Random(313)
+    built = []
+    build = series_module.pt_series_from_gv
+    monkeypatch.setattr(series_module, "pt_series_from_gv",
+                        lambda t, gv, nmax: built.append(gv) or build(t, gv, nmax))
+    for case in range(18):
+        gv = random_rank_table(rng, case % 3 + 1)
+        degrees = sorted({gv.lattice.deg(beta) for beta in gv.n0})
+        for sweep, order in enumerate(wall_sweeps(rng, degrees)):
+            # odd cases change nmax between calls
+            nmaxes = [rng.randint(1, 4) if case % 2 else 3 for _ in order]
+            built.clear()
+            for d, nmax in zip(order, nmaxes):
+                t0 = Fraction(1, d)
+                fresh = GVTable.from_json(gv.to_json(), dmax=gv.lattice.dmax)
+                assert wall_jump_check(t0, gv, nmax) == wall_jump_check(
+                    t0, fresh, nmax), (case, order, t0, nmax)
+                assert len(gv._chambers) <= 2
+            if case % 2 == 0 and sweep < 2 and degrees:
+                # a monotone sweep at one nmax builds each of its chambers
+                # once, one more than its walls; the descending sweep starts
+                # at the wall where the ascending one ended
+                expected = len(degrees) + 1 if sweep == 0 else len(degrees) - 1
+                assert sum(table is gv for table in built) == expected, (case, order)
+
+
+def test_pair_count_table_matches_the_single_queries():
+    rng = random.Random(314)
+    for case in range(30):
+        gv = random_rank_table(rng, case % 3 + 1, None if case < 15 else 9)
+        nmax = rng.randint(0, 4)
+        classes = gv.lattice.classes()
+        for t in chambers(gv):
+            table, memo = _pair_counts(t, gv, nmax), {}
+            assert len(table) == _top_n(gv, nmax) + 1
+            for n, level in enumerate(table):
+                assert all(type(g) is int for g in level)
+                assert level == [_scaled_pt(t, n, beta, gv, memo) for beta in classes], (
+                    case, t, n)
