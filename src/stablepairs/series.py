@@ -29,10 +29,11 @@ D = lcm of the n0 denominators and E = lcm of the P(0, beta) denominators
 (D^n E P^t(n, beta) is an int); a product over the two operands' lcms; _exp
 over L_w, the lcm of the denominators on weight level w, times the series'
 own lcm; and the jump formula of a wall check over D^n E K_W, K_W the lcm of
-the wall series' denominators.  A wall check reads those ints from a table
-of every D^n E P^t(n, beta) of a chamber, filled level by level in n, and
+the wall series' denominators.  The recursion has one form: a table of
+every D^n E P^t(n, beta) of a chamber, filled level by level in n as far as
+asked.  pt_coeff_from_gv keeps it in its caller's memo, and a wall check
 keeps the two chambers of its wall, series and table, on the GVTable, so a
-sweep over the walls builds each chamber once; a table is immutable once
+sweep over the walls builds each chamber once; a GVTable is immutable once
 used.  Every multiple-cover sum (the genus-zero and genus-one Gromov-Witten
 forms and the log series of a synthesized degree-zero part) is one sum over
 the divisors k of a class, weighted by 1/k^2, sigma(k)/k, 1/k or logM_k.
@@ -216,12 +217,13 @@ def _bounded_lattice(rank, omega, dmax, classes):
 @dataclass(frozen=True)
 class ClassLattice:
     """Effective classes: tuples in Z^rank with degree omega . beta <= dmax;
-    classes() sorts them once and keeps them outside equality."""
+    classes() sorts them once and keeps them outside equality, as the map
+    _positions of each class to its position among them."""
 
     rank: int
     omega: tuple
     dmax: int
-    _classes: tuple = field(default=None, init=False, repr=False, compare=False)
+    _positions: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "omega", tuple(int(w) for w in self.omega))
@@ -240,13 +242,14 @@ class ClassLattice:
 
     def classes(self):
         """All effective classes of degree <= dmax (zero included), sorted by
-        (degree, tuple); a new list on each call."""
-        if self._classes is None:
+        (degree, tuple); a new list on each call.  The first call fills
+        _positions, {class: position in that list}."""
+        if self._positions is None:
             box = itertools.product(*(range(self.dmax // w + 1) for w in self.omega))
-            object.__setattr__(self, "_classes", tuple(sorted(
+            object.__setattr__(self, "_positions", {b: i for i, b in enumerate(sorted(
                 (b for b in box if self.deg(b) <= self.dmax), key=lambda b: (self.deg(b), b)
-            )))
-        return list(self._classes)
+            ))})
+        return list(self._positions)
 
     def positive_classes(self):
         return [b for b in self.classes() if any(b)]
@@ -264,6 +267,12 @@ def _rest(beta, gamma):
     """beta - gamma, or None when that is not an effective class."""
     rest = tuple(map(operator.sub, beta, gamma))
     return rest if min(rest, default=0) >= 0 else None
+
+
+def _not_a_class(beta, lattice):
+    """The ValueError for a tuple of another length or above the top degree."""
+    return ValueError(f"{beta} is not a class of the lattice of rank {lattice.rank} "
+                      f"and degree at most {lattice.dmax}")
 
 
 def _add(beta, gamma):
@@ -322,8 +331,8 @@ class GVTable:
 
     A table is treated as immutable once used: the scales D (the lcm of the
     n0 denominators) and E (of the P(0, beta) denominators), the synthesized
-    p0 and the split table of pt_coeff_from_gv (for each class beta, the
-    stored classes gamma <= beta with their degree, D n0(gamma) and
+    p0 and the split table of the pair-count tables (for each class beta,
+    the stored classes gamma <= beta with their degree, D n0(gamma) and
     beta - gamma, heaviest first) are built on first use and kept.  So is
     the chamber store of wall_jump_check: the series and pair-count table of
     the last check's two chambers, keyed by nmax and the lowest stored
@@ -358,12 +367,17 @@ class GVTable:
     # -- degree-zero pair counts ----------------------------------------------
 
     def p0_value(self, beta):
+        """P(0, beta).  A synthesized p0 is known only on the lattice: a tuple
+        off it without a negative entry raises ValueError."""
         beta = tuple(beta)
         if self.p0 is not None:
             if beta in self.p0:
                 return self.p0[beta]
             return _FRACTION_ZERO if any(beta) else _FRACTION_ONE
-        return self._synthesized_p0().get(beta, _FRACTION_ZERO)
+        p0 = self._synthesized_p0()  # lists the lattice's classes, and so its _positions
+        if beta not in self.lattice._positions and min(beta, default=0) >= 0:
+            raise _not_a_class(beta, self.lattice)
+        return p0.get(beta, _FRACTION_ZERO)
 
     def _synthesized_p0(self):
         """exp of the log series sum_beta n1(beta) sum_k logM_k q^(k beta)."""
@@ -699,61 +713,67 @@ def pt_coeff_from_gv(t, n, beta, gv, memo=None):
 
     f(n, beta) = sum over stored classes gamma with n0 != 0, gamma <= beta,
     and t admitting deg(gamma), of n0(gamma) * f(n-1, beta - gamma);
-    f(0, beta) = P(0, beta).  A step walks the table's split list of beta,
-    heaviest class first, up to the first degree t does not admit; an exact
-    t on a wall raises WallError once the walk reaches a class on it.
-    ``memo`` is keyed by (n, beta) and lives as long as the caller keeps it;
-    it holds the scaled ints D^n E f(n, beta) of _scaled_pt, not Fractions.
+    f(0, beta) = P(0, beta).  It is read from the pair-count table of t's
+    chamber, which ``memo`` keeps under t, filled only as far as the largest
+    n asked: a sweep with one memo builds one table.  An exact t reads the
+    table of its minus side, and raises WallError for n >= 1 when a stored
+    class on its wall fits in beta.  0 for n < 0 or a negative entry; any
+    other tuple that is no class of the lattice raises ValueError.
     """
     beta = tuple(beta)
     if n < 0 or min(beta, default=0) < 0:
-        return Fraction(0)
-    value = _scaled_pt(t, n, beta, gv, {} if memo is None else memo)
-    return Fraction(value, gv._n0_den() ** n * gv._p0_den()) if value else Fraction(0)
-
-
-def _scaled_pt(t, n, beta, gv, memo):
-    """g(n, beta) = D^n E P^t(n, beta), an int, for n >= 0, a class beta and
-    D and E the scales of ``gv``: g(0, beta) = E P(0, beta) and g(n, beta) =
-    sum of a_gamma g(n-1, beta - gamma) over the split list of beta,
-    a_gamma = D n0(gamma).
-
-    The walk is depth first, heaviest class first, as a recursion would
-    make it, but on an explicit stack, so n is not bounded by the
-    interpreter's recursion limit.  Each (n, beta) asked for is looked up
-    in ``memo`` once, and every value computed is stored there."""
-    key = (n, beta)
-    if key in memo:
-        return memo[key]
-    if n == 0:
-        memo[key] = value = gv._scaled_p0(beta)
-        return value
-    admits = t.admits
-    stack = [[n, beta, gv._splits(beta), 0, 0]]  # steps under way: n, beta, splits, next, sum
-    while True:
-        step = stack[-1]
-        n, beta, splits, i, total = step
-        while i < len(splits) and admits(splits[i][0]):
-            _, mult, rest = splits[i]
-            sub_key = (n - 1, rest)
-            if sub_key in memo:
-                sub = memo[sub_key]
-            elif n == 1:
-                memo[sub_key] = sub = gv._scaled_p0(rest)
-            else:  # go down into beta - gamma, then come back to split i
-                step[3], step[4] = i, total
-                stack.append([n - 1, rest, gv._splits(rest), 0, 0])
-                break
-            total += mult * sub
-            i += 1
+        return _FRACTION_ZERO
+    memo = {} if memo is None else memo
+    if t not in memo:
+        if t.kind == "finite" and not t.side:
+            memo[t] = (wall_classes(t.value, gv), _pair_counts(TParam.minus(t.value), gv))
         else:
-            memo[n, beta] = total
-            stack.pop()
-            if not stack:
-                return total
-            up = stack[-1]
-            up[4] += up[2][up[3]][1] * total
-            up[3] += 1
+            memo[t] = ((), _pair_counts(t, gv))
+    wall, table = memo[t]
+    try:
+        i = gv.lattice._positions[beta]
+    except KeyError:
+        raise _not_a_class(beta, gv.lattice) from None
+    for gamma in wall:
+        if n and _rest(beta, gamma) is not None:
+            t.admits(gv.lattice.deg(gamma))  # raises the WallError
+    g = table[1]
+    if n >= len(g) and n >= len(_fill(table, n)):  # above the top level: 0
+        return _FRACTION_ZERO
+    value = g[n][i]
+    return Fraction(value, gv._n0_den() ** n * gv._p0_den()) if value else _FRACTION_ZERO
+
+
+def _pair_counts(t, gv):
+    """The pair-count table of t's chamber, (prefixes, g, top), for t not
+    exactly on a wall: g[n][i] = D^n E P^t(n, beta_i), ints, for beta_i the
+    i-th class of the lattice.  g holds level 0, g[0][i] = E P(0, beta_i),
+    and _fill appends the levels up to top = dmax // (the smallest stored
+    class degree), above which every pair count of the lattice is 0.  Level
+    n sums a_gamma g[n-1][position of beta_i - gamma] over prefixes[i], the
+    prefix of the split list of beta_i that t admits, cut once per table."""
+    lattice = gv.lattice
+    classes = lattice.classes()
+    position, admits = lattice._positions, t.admits
+    prefixes = []
+    for beta in classes:
+        prefix = []
+        for deg, mult, rest in gv._splits(beta):
+            if not admits(deg):
+                break
+            prefix.append((mult, position[rest]))
+        prefixes.append(prefix)
+    return prefixes, [[gv._scaled_p0(beta) for beta in classes]], _top_n(gv, lattice.dmax)
+
+
+def _fill(table, n):
+    """The levels g of a _pair_counts table, grown in place through level
+    min(n, top)."""
+    prefixes, g, top = table
+    while len(g) <= min(n, top):
+        level = g[-1]
+        g.append([sum([mult * level[j] for mult, j in prefix]) for prefix in prefixes])
+    return g
 
 
 def _top_n(gv, nmax):
@@ -794,9 +814,11 @@ def js_from_gv(n, beta, gv):
     lattice = gv.lattice
     slope = Fraction(lattice.deg(beta), n)
     # the ordered-decomposition recursion over the classes of that slope
-    # alone, with P(0, beta) = 1 on the zero class and 0 elsewhere
+    # alone, with P(0, beta) = 1 on the zero class and 0 elsewhere, on the
+    # lattice up to deg(beta): it holds every class of the rank inside beta
     on_slope = {gamma: v for gamma, v in gv.n0.items() if lattice.deg(gamma) == slope}
-    return pt_coeff_from_gv(TParam.infinity(), n, beta, GVTable(lattice, on_slope, p0={}))
+    capped = ClassLattice(lattice.rank, lattice.omega, max(lattice.deg(beta), 0))
+    return pt_coeff_from_gv(TParam.infinity(), n, beta, GVTable(capped, on_slope, p0={}))
 
 
 # -- wall-crossing checks --------------------------------------------------------------
@@ -808,46 +830,21 @@ def _lowest_admitted(t, gv):
     return min((d for d in set(map(gv.lattice.deg, gv.n0)) if t.admits(d)), default=None)
 
 
-def _pair_counts(t, gv, nmax):
-    """g[n][i] = D^n E P^t(n, beta_i), ints, for n <= _top_n(gv, nmax) and
-    beta_i the i-th class of the lattice: g[0][i] = E P(0, beta_i), and each
-    level sums a_gamma g[n-1][index of beta_i - gamma] over the prefix of the
-    split list of beta_i that t admits, cut once for all levels."""
-    classes = gv.lattice.classes()
-    index = {beta: i for i, beta in enumerate(classes)}
-    level = [gv._scaled_p0(beta) for beta in classes]
-    g = [level]
-    top = _top_n(gv, nmax)
-    if top > 0:
-        admits = t.admits
-        prefixes = []
-        for beta in classes:
-            prefix = []
-            for deg, mult, rest in gv._splits(beta):
-                if not admits(deg):
-                    break
-                prefix.append((mult, index[rest]))
-            prefixes.append(prefix)
-        for _ in range(top):
-            level = [sum([mult * level[j] for mult, j in prefix]) for prefix in prefixes]
-            g.append(level)
-    return g
-
-
 def _chambers(gv, nmax, sides):
-    """[(chamber series, pair-count table g)] for the parameters ``sides``,
-    from the table's store.  An entry is keyed by nmax and the chamber's
-    lowest admitted degree, so adjacent walls share the chamber between
-    them; a missing one is built, and afterwards the store keeps only the
-    entries of ``sides``."""
+    """[(chamber series, pair counts g)] for the parameters ``sides``, from
+    the table's store, g filled through _top_n(gv, nmax).  An entry is keyed
+    by nmax and the chamber's lowest admitted degree, so adjacent walls
+    share the chamber between them; a missing one is built, and afterwards
+    the store keeps only the entries of ``sides``."""
     store = gv._chambers
     keys = [(nmax, _lowest_admitted(t, gv)) for t in sides]
     for t, key in zip(sides, keys):
         if key not in store:
-            store[key] = (pt_series_from_gv(t, gv, nmax), _pair_counts(t, gv, nmax))
+            store[key] = (pt_series_from_gv(t, gv, nmax), _pair_counts(t, gv))
     for key in set(store).difference(keys):
         del store[key]
-    return [store[key] for key in keys]
+    top = _top_n(gv, nmax)
+    return [(store[key][0], _fill(store[key][1], top)) for key in keys]
 
 
 def wall_jump_check(t0, gv, nmax):
@@ -889,14 +886,13 @@ def wall_jump_check(t0, gv, nmax):
     rows = []
     all_ok = series_ok
     n_top = _top_n(gv, nmax)
-    classes = lattice.classes()
-    index = {beta: i for i, beta in enumerate(classes)}
-    for i, beta in enumerate(classes):
-        # the wall terms and wall classes inside beta, with the index of
+    position = lattice._positions
+    for i, beta in enumerate(lattice.classes()):
+        # the wall terms and wall classes inside beta, with the position of
         # what is left of it
-        terms_in = [(k, w, index[rest]) for k, b2, w in wall_terms
+        terms_in = [(k, w, position[rest]) for k, b2, w in wall_terms
                     if (rest := _rest(beta, b2)) is not None]
-        wall_in = [(mult, index[rest]) for b2, mult in wall_n0
+        wall_in = [(mult, position[rest]) for b2, mult in wall_n0
                    if (rest := _rest(beta, b2)) is not None]
         for n in range(n_top + 1):
             jump = scale_w * (g_plus[n][i] - g_minus[n][i])

@@ -8,6 +8,7 @@ golden file or a failed identity, 2 usage/input error, 3 internal error.
 
 import io
 import json
+import random
 import sys
 import time
 from contextlib import redirect_stdout, redirect_stderr
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from stablepairs import series
 from stablepairs.cli import main
 from stablepairs.equivariant import TrivialWeightError
 from stablepairs.localcurve import _POOL_MIN_FIXED_POINTS
@@ -501,6 +503,25 @@ def test_series_pt_on_a_wall_needs_a_side(tmp_path):
     code, _, _ = run(["series", "pt", "--gv-file", str(p2),
                       "--n-max", "2", "--t", "1", "--side", "plus"])
     assert code == 0
+
+
+def test_series_pt_builds_one_pair_count_table(tmp_path, monkeypatch):
+    """A command answers every row from one chamber table, not one per query."""
+    rng = random.Random(316)
+    lattice = series.ClassLattice(2, (1, 2), 8)
+    n0 = {beta: rng.randint(-3, 3) for beta in lattice.positive_classes() if rng.random() < 0.3}
+    table = tmp_path / "rank2.json"
+    table.write_text(json.dumps(series.GVTable(lattice, n0=n0, n1={(1, 0): 1}).to_json()))
+    built = []
+    build = series._pair_counts
+    monkeypatch.setattr(series, "_pair_counts", lambda t, gv: built.append(t) or build(t, gv))
+    for path in (FIXTURES / "local_p2.json", table):
+        for t in ("inf", "0+", "1/3"):
+            built.clear()
+            code, out, _ = run(["series", "pt", "--gv-file", str(path),
+                                "--n-max", "4", "--t", t, "--side", "plus"])
+            assert code == 0 and len(json.loads(out)["coefficients"]) > 1
+            assert len(built) == 1, (path, t)
 
 
 def test_series_pt_prints_values_of_any_size(tmp_path):

@@ -5,6 +5,7 @@ predicates, and Gromov-Witten conversions."""
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -32,8 +33,8 @@ from stablepairs.series import (
     wall_factor_series,
     wall_jump_check,
     _exp,
+    _fill,
     _pair_counts,
-    _scaled_pt,
     _top_n,
 )
 from stablepairs import series as series_module
@@ -885,7 +886,7 @@ def test_exact_parameter_on_a_wall_raises_where_the_former_walk_did():
 
 
 def test_recursion_runs_deeper_than_the_interpreter_stack():
-    # with a cold memo, n steps of the walk are under way at once
+    # a cold query at n fills n levels of the chamber's table, one at a time
     n = max(1100, sys.getrecursionlimit() + 100)
     gv = GVTable(ClassLattice(1, (1,), n), n0={(1,): 1}, p0={(0,): 1})
     assert pt_coeff_from_gv(TParam.infinity(), n, (n,), gv) == 1
@@ -901,6 +902,33 @@ def test_exact_parameter_on_a_wall_is_quiet_below_it():
                 pt_coeff_from_gv(t, n, beta, gv)  # no class on the wall fits
     with pytest.raises(WallError, match="degree-4 class"):
         pt_coeff_from_gv(t, 1, (4,), gv)
+
+
+def test_tuples_off_the_lattice_are_refused():
+    gv = GVTable(ClassLattice(2, (1, 1), 3), n0={(1, 0): 1}, p0={})
+    for beta in ((1,), (1, 0, 5), (4, 0), (2, 2)):  # other lengths, above dmax
+        with pytest.raises(ValueError, match=re.escape(f"{beta} is not a class")):
+            pt_coeff_from_gv(TParam.infinity(), 1, beta, gv)
+    assert pt_coeff_from_gv(TParam.infinity(), 1, (1, 0), gv) == 1
+    assert pt_coeff_from_gv(TParam.infinity(), -1, (1,), gv) == 0
+    assert pt_coeff_from_gv(TParam.infinity(), 1, (-1, 5), gv) == 0
+    # a synthesized P(0, .) is truncated at dmax: M(q) has 24 q^5 and 13 q^4
+    tables = {dmax: GVTable(ClassLattice(1, (1,), dmax), n0={(1,): 1}, n1={(1,): 1})
+              for dmax in (3, 6)}
+    assert tables[6].p0_value((5,)) == js_from_gv(0, (5,), tables[6]) == 24
+    assert pt_coeff_from_gv(TParam.infinity(), 1, (5,), tables[6]) == 13
+    for query in (lambda gv: gv.p0_value((5,)), lambda gv: js_from_gv(0, (5,), gv),
+                  lambda gv: pt_coeff_from_gv(TParam.infinity(), 0, (5,), gv),
+                  lambda gv: pt_coeff_from_gv(TParam.infinity(), 1, (5,), gv)):
+        with pytest.raises(ValueError, match=re.escape("(5,) is not a class")):
+            query(tables[3])
+    assert tables[3].p0_value((-1,)) == 0
+    # an equal-slope count is taken on a lattice of its own, up to deg(beta)
+    for gv in tables.values():
+        assert js_from_gv(5, (5,), gv) == 1
+        assert js_from_gv(1, (5,), gv) == js_from_gv(2, (5,), gv) == 0
+        with pytest.raises(ValueError, match=re.escape("(5, 1) is not a class")):
+            js_from_gv(5, (5, 1), gv)
 
 
 def test_wall_sweep_keeps_only_the_split_table():
@@ -960,10 +988,62 @@ def test_pair_count_table_matches_the_single_queries():
         gv = random_rank_table(rng, case % 3 + 1, None if case < 15 else 9)
         nmax = rng.randint(0, 4)
         classes = gv.lattice.classes()
+        scale_d = common_den(gv.n0.values())
+        scale_e = common_den(gv.p0_value(beta) for beta in classes)
         for t in chambers(gv):
-            table, memo = _pair_counts(t, gv, nmax), {}
+            table, reference = _fill(_pair_counts(t, gv), _top_n(gv, nmax)), {}
             assert len(table) == _top_n(gv, nmax) + 1
             for n, level in enumerate(table):
                 assert all(type(g) is int for g in level)
-                assert level == [_scaled_pt(t, n, beta, gv, memo) for beta in classes], (
-                    case, t, n)
+                assert level == [
+                    reference_pt_coeff(t, n, beta, gv, reference) * scale_d**n * scale_e
+                    for beta in classes
+                ], (case, t, n)
+
+
+def test_one_memo_answers_as_cold_queries_do(monkeypatch):
+    rng = random.Random(315)
+    built, levels = [], []
+    build, fill = series_module._pair_counts, series_module._fill
+    monkeypatch.setattr(series_module, "_pair_counts",
+                        lambda t, gv: built.append(t) or build(t, gv))
+
+    def counting_fill(table, n):
+        before = len(table[1])
+        g = fill(table, n)
+        levels.append(len(g) - before)
+        return g
+
+    monkeypatch.setattr(series_module, "_fill", counting_fill)
+
+    def answer(query, gv, memo):
+        try:
+            return pt_coeff_from_gv(*query, gv, memo)
+        except WallError as exc:
+            return str(exc)
+
+    for case in range(12):
+        gv = random_rank_table(rng, case % 3 + 1)
+        degrees = sorted({gv.lattice.deg(beta) for beta in gv.n0})
+        # exact parameters off the walls come with chambers(gv), on them here
+        params = chambers(gv) + [TParam.exact(Fraction(1, d)) for d in degrees]
+        queries = [(t, n, beta) for t in params for n in range(5)
+                   for beta in gv.lattice.classes()]
+        cold = {}
+        for query in queries:
+            memo = {}
+            cold[query] = answer(query, gv, memo)
+            # a cold query at n fills no level above n
+            t, n = query[:2]
+            assert len(memo[t][1][1]) <= n + 1, query
+        descending = sorted(queries, key=lambda query: -query[1])
+        ascending = sorted(queries, key=lambda query: query[1])
+        interleaved = rng.sample(queries, len(queries))
+        for order in (descending, ascending, interleaved):
+            memo = {}
+            built.clear()
+            levels.clear()
+            assert [answer(query, gv, memo) for query in order] == [cold[q] for q in order]
+            # one table per parameter, and each of its levels filled once
+            assert len(built) == len(set(params)) == len(memo)
+            assert sum(levels) == sum(len(table[1]) - 1 for _, table in memo.values())
