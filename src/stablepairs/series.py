@@ -24,23 +24,30 @@ exp(a) exp(b) holds coefficient by coefficient.
 
 Every value passed in or out is a Fraction, but the four hot loops run on
 ints over common denominators, each the lcm of the denominators present, and
-build one Fraction per coefficient that leaves them: the recursion over
+build a Fraction only for a value that leaves them: the recursion over
 D = lcm of the n0 denominators and E = lcm of the P(0, beta) denominators
-(D^n E P^t(n, beta) is an int); a product over the two operands' lcms; _exp
-over L_w, the lcm of the denominators on weight level w, times the series'
-own lcm; and the jump formula of a wall check over D^n E K_W, K_W the lcm of
-the wall series' denominators.  The recursion has one form: a table of
-every D^n E P^t(n, beta) of a chamber, filled level by level in n as far as
-asked.  pt_coeff_from_gv keeps it in its caller's memo, and a wall check
-keeps the two chambers of its wall, series and table, on the GVTable, so a
-sweep over the walls builds each chamber once; a GVTable is immutable once
-used.  Every multiple-cover sum (the genus-zero and genus-one Gromov-Witten
-forms and the log series of a synthesized degree-zero part) is one sum over
-the divisors k of a class, weighted by 1/k^2, sigma(k)/k, 1/k or logM_k.
+(D^n E P^t(n, beta) is an int); the products and the exponential on
+position-keyed ints, (scale, {(n, position of beta): int}), adding classes
+through the lattice's addition table, which holds one entry per pair of
+classes whose degrees sum to at most dmax, the same pairs a full product
+visits; a product over the two operands' scales; _exp over L_w, the lcm of
+the denominators on weight level w (one gcd over the level's ints), times
+the series' scale; and a wall check, whose series identity cross-multiplies
+the int forms by their scales and whose jump formula runs over D^n E K_W,
+K_W the lcm of the wall series' denominators.  The recursion has one
+form: a table of every D^n E P^t(n, beta) of a chamber, filled level by
+level in n as far as asked.  pt_coeff_from_gv keeps it in its caller's
+memo, and a wall check keeps the two chambers of its wall, series and
+table, on the GVTable, so a sweep over the walls builds each chamber once;
+a GVTable is immutable once used.  Every multiple-cover sum (the genus-zero
+and genus-one Gromov-Witten forms and the log series of a synthesized
+degree-zero part) is one sum over the divisors k of a class, weighted by
+1/k^2, sigma(k)/k, 1/k or logM_k.
 Wall checks, wall predicates and the Gromov-Witten conversions live here too.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -101,8 +108,15 @@ def _int_str(n):
 def frac_str(x):
     """``str(Fraction(x))`` at any size."""
     x = Fraction(x)
-    text = _int_str(x.numerator)
-    return text if x.denominator == 1 else f"{text}/{_int_str(x.denominator)}"
+    return _ratio_str(x.numerator, x.denominator)
+
+
+def _ratio_str(num, den):
+    """frac_str(Fraction(num, den)) for ints num and den > 0, without the
+    Fraction."""
+    common = math.gcd(num, den)
+    text = _int_str(num // common)
+    return text if den == common else f"{text}/{_int_str(den // common)}"
 
 
 def _decode_json(text, where):
@@ -216,14 +230,22 @@ def _bounded_lattice(rank, omega, dmax, classes):
 
 @dataclass(frozen=True)
 class ClassLattice:
-    """Effective classes: tuples in Z^rank with degree omega . beta <= dmax;
-    classes() sorts them once and keeps them outside equality, as the map
-    _positions of each class to its position among them."""
+    """Effective classes: tuples in Z^rank with degree omega . beta <= dmax.
+
+    classes() sorts them once by degree and keeps them outside equality, as
+    the map _positions of each class to its position among them.  The
+    series kernels key classes by position and add them through _sums, the
+    addition table built on first use by _sum_table: row i holds the
+    positions of beta_i + beta_j for the j with deg beta_i + deg beta_j <=
+    dmax, a prefix of the classes because positions ascend in degree.  So
+    it holds one entry per pair of classes whose degrees sum to at most
+    dmax, the same pairs a full product visits."""
 
     rank: int
     omega: tuple
     dmax: int
     _positions: dict = field(default=None, init=False, repr=False, compare=False)
+    _sums: list = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "omega", tuple(int(w) for w in self.omega))
@@ -250,6 +272,19 @@ class ClassLattice:
                 (b for b in box if self.deg(b) <= self.dmax), key=lambda b: (self.deg(b), b)
             ))})
         return list(self._positions)
+
+    def _sum_table(self):
+        """_sums, the positions of the sums of classes (see the class)."""
+        if self._sums is None:
+            classes = self.classes()
+            degrees = [self.deg(b) for b in classes]
+            position = self._positions
+            object.__setattr__(self, "_sums", [
+                [position[_add(beta, gamma)]
+                 for gamma in classes[:bisect.bisect_right(degrees, self.dmax - d)]]
+                for beta, d in zip(classes, degrees)
+            ])
+        return self._sums
 
     def positive_classes(self):
         return [b for b in self.classes() if any(b)]
@@ -289,13 +324,6 @@ def _over(c, den):
     return c.numerator * (den // c.denominator)
 
 
-def _numerators(coeffs):
-    """(L, {key: L * c}) for L the common denominator of the Fractions in
-    the dict ``coeffs``: the values as ints over L."""
-    den = _common_den(coeffs.values())
-    return den, {key: _over(c, den) for key, c in coeffs.items()}
-
-
 def _cover_sum(beta, table, weight, first=1):
     """sum over k >= first with beta/k a class of ``table`` of
     weight(k) * table[beta/k]: the multiple-cover sum of ``table`` at beta."""
@@ -331,12 +359,15 @@ class GVTable:
 
     A table is treated as immutable once used: the scales D (the lcm of the
     n0 denominators) and E (of the P(0, beta) denominators), the synthesized
-    p0 and the split table of the pair-count tables (for each class beta,
-    the stored classes gamma <= beta with their degree, D n0(gamma) and
-    beta - gamma, heaviest first) are built on first use and kept.  So is
-    the chamber store of wall_jump_check: the series and pair-count table of
-    the last check's two chambers, keyed by nmax and the lowest stored
-    degree the chamber admits.  None of them takes part in equality.
+    p0, the ints E P(0, beta_i) by class position (level 0 of every
+    pair-count table and the degree-zero factor of every chamber series),
+    the stored classes heaviest first and the split table of the pair-count
+    tables (for each class beta, the stored classes gamma <= beta with their
+    degree, D n0(gamma) and beta - gamma, in that order) are built on first
+    use and kept.  So is the chamber store of wall_jump_check: the series
+    and pair-count table of the last check's two chambers, keyed by nmax and
+    the lowest stored degree the chamber admits.  None of them takes part in
+    equality.
     """
 
     lattice: ClassLattice
@@ -348,6 +379,8 @@ class GVTable:
     _n0_scale: int = field(default=None, repr=False, compare=False)
     _p0_scale: int = field(default=None, repr=False, compare=False)
     _p0_cache: dict = field(default=None, repr=False, compare=False)
+    _p0_ints: list = field(default=None, repr=False, compare=False)
+    _heaviest: list = field(default=None, repr=False, compare=False)
     _split_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _chambers: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -404,23 +437,28 @@ class GVTable:
             self._p0_scale = _common_den(p0.values())
         return self._p0_scale
 
-    def _scaled_p0(self, beta):
-        """E P(0, beta), an int."""
-        return _over(self.p0_value(beta), self._p0_den())
+    def _scaled_p0(self):
+        """[E P(0, beta_i)] over the lattice's classes by position, ints."""
+        if self._p0_ints is None:
+            scale = self._p0_den()
+            self._p0_ints = [_over(self.p0_value(b), scale) for b in self.lattice.classes()]
+        return self._p0_ints
 
     def _splits(self, beta):
         """[(deg gamma, D n0(gamma), beta - gamma)] over the stored classes
         gamma <= beta, heaviest first, the middle entry an int: every
-        chamber admits a prefix of it."""
+        chamber admits a prefix of it.  The stored classes are sorted once
+        per table, into _heaviest."""
         splits = self._split_cache.get(beta)
         if splits is None:
-            _refuse_degree_zero("n0", self.n0, self.lattice)
-            deg, scale = self.lattice.deg, self._n0_den()
-            splits = [
-                (deg(gamma), _over(mult, scale), rest)
-                for gamma, mult in sorted(self.n0.items(), key=lambda item: -deg(item[0]))
-                if (rest := _rest(beta, gamma)) is not None
-            ]
+            if self._heaviest is None:
+                _refuse_degree_zero("n0", self.n0, self.lattice)
+                deg, scale = self.lattice.deg, self._n0_den()
+                self._heaviest = sorted(
+                    ((deg(gamma), _over(mult, scale), gamma) for gamma, mult in self.n0.items()),
+                    key=lambda split: -split[0])
+            splits = [(deg, mult, rest) for deg, mult, gamma in self._heaviest
+                      if (rest := _rest(beta, gamma)) is not None]
             self._split_cache[beta] = splits
         return splits
 
@@ -562,33 +600,54 @@ class TParam:
 
 
 class TruncatedSeries:
-    """Series in y (order <= nmax) and q^beta (degree <= lattice.dmax)."""
+    """Series in y (order <= nmax) and q^beta (degree <= lattice.dmax), its
+    coefficients nonzero Fractions keyed by (n, beta).  Keys past the
+    truncation are dropped; a class key of another length or with a
+    negative entry raises ValueError.
 
-    __slots__ = ("lattice", "nmax", "coeffs")
+    A series is a value, not changed once built.  One built from ints here
+    keeps them in _ints, its int form (scale, {(n, position of beta): int}),
+    the coefficients as ints over one common scale, with which the series
+    kernels work (_product, _exp_ints)."""
+
+    __slots__ = ("lattice", "nmax", "coeffs", "_ints")
 
     def __init__(self, lattice, nmax, coeffs=None):
         self.lattice = lattice
         self.nmax = nmax
+        self._ints = None
         clean = {}
         if coeffs:
             for (n, beta), c in coeffs.items():
+                beta = tuple(beta)
+                if len(beta) != lattice.rank or min(beta, default=0) < 0:
+                    raise _not_a_class(beta, lattice)
                 if not isinstance(c, Fraction):
                     c = Fraction(c)
-                if not c:
-                    continue
-                beta = tuple(beta)
-                if n < 0 or n > nmax or lattice.deg(beta) > lattice.dmax:
-                    continue
-                clean[(n, beta)] = c
+                if c and 0 <= n <= nmax and lattice.deg(beta) <= lattice.dmax:
+                    clean[(n, beta)] = c
         self.coeffs = clean
 
     @classmethod
-    def _trusted(cls, lattice, nmax, coeffs):
-        """Internal: wrap a map of keys inside the truncation to nonzero
-        Fractions as is."""
+    def _from_ints(cls, lattice, nmax, form):
+        """Internal: the series of an int form with keys inside the
+        truncation and nonzero ints, keeping the form."""
+        scale, ints = form
+        classes = lattice.classes()
         out = cls.__new__(cls)
-        out.lattice, out.nmax, out.coeffs = lattice, nmax, coeffs
+        out.lattice, out.nmax, out._ints = lattice, nmax, form
+        out.coeffs = {(n, classes[i]): Fraction(c, scale) for (n, i), c in ints.items()}
         return out
+
+    def _int_form(self):
+        """(scale, {(n, position of beta): int}): the kept int form, or the
+        coefficients as ints over their common denominator."""
+        if self._ints is not None:
+            return self._ints
+        self.lattice.classes()  # fills _positions
+        position, scale = self.lattice._positions, _common_den(self.coeffs.values())
+        return scale, {(n, position[beta]): _over(c, scale)
+                       for (n, beta), c in self.coeffs.items()}
 
     @classmethod
     def one(cls, lattice, nmax):
@@ -612,49 +671,60 @@ class TruncatedSeries:
         return TruncatedSeries(self.lattice, self.nmax, out)
 
     def __mul__(self, other):
-        """The product, summed as ints over da db, da and db the common
-        denominators of the two operands."""
+        """The product (see _product)."""
         lattice, nmax = self.lattice, self.nmax
-        da, left = _numerators(self.coeffs)
-        db, right = _numerators(other.coeffs)
-        right = sorted(
-            ((lattice.deg(b2), n2, b2, c2) for (n2, b2), c2 in right.items()),
-            key=lambda term: term[0],
-        )
-        out = {}
-        for (n1, b1), c1 in left.items():
-            room_n, room_d = nmax - n1, lattice.dmax - lattice.deg(b1)
-            for d2, n2, b2, c2 in right:
-                if d2 > room_d:
-                    break
-                if n2 <= room_n:
-                    key = (n1 + n2, _add(b1, b2))
-                    out[key] = out[key] + c1 * c2 if key in out else c1 * c2
-        den = da * db
-        return TruncatedSeries._trusted(
-            lattice, nmax, {key: Fraction(c, den) for key, c in out.items() if c})
+        return TruncatedSeries._from_ints(
+            lattice, nmax, _product(lattice, nmax, self._int_form(), other._int_form()))
+
+
+def _product(lattice, nmax, left, right):
+    """The int form of the product of two int forms: the ints are summed
+    over the product of the two scales, the sums of classes read off the
+    lattice's addition table, whose row for beta_i stops at the classes
+    beta_j that still fit."""
+    sums = lattice._sum_table()
+    (scale_a, a), (scale_b, b) = left, right
+    b = sorted((i, n, c) for (n, i), c in b.items())  # ascending in degree
+    out = {}
+    for (n1, i1), c1 in a.items():
+        row, room = sums[i1], nmax - n1
+        fits = len(row)
+        for i2, n2, c2 in b:
+            if i2 >= fits:
+                break
+            if n2 <= room:
+                key = (n1 + n2, row[i2])
+                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
+    return scale_a * scale_b, {key: c for key, c in out.items() if c}
 
 
 def _exp(series):
-    """exp(series) for a series without a constant term.  The weight
-    w(y^n q^beta) = n + deg(beta) is positive off it, and E = exp(S) satisfies
+    """exp(series) for a series without a constant term (see _exp_ints)."""
+    lattice, nmax = series.lattice, series.nmax
+    return TruncatedSeries._from_ints(lattice, nmax, _exp_ints(lattice, nmax, series._int_form()))
+
+
+def _exp_ints(lattice, nmax, form):
+    """The int form of exp(S), S the series of the int form ``form``
+    without a constant term.  The weight w(y^n q^beta) = n + deg(beta) is
+    positive off it, and E = exp(S) satisfies
     w(m) E_m = sum_{m1 + m2 = m} w(m1) S_m1 E_m2 with m2 lighter than m; so,
     visited by increasing weight, each E_m is final before it is pushed into
     heavier levels.  Pushes past the truncation are dropped.
 
-    The sums run on ints.  The terms w(m1) S_m1 are ints over ds, the series'
-    common denominator.  Once level w is final, its E_m are pushed as ints
-    over L_w, their common denominator, so a heavier level holds one bucket
-    of ints for each scale ds L_w pushed into it, and adds its buckets over
-    the lcm of those scales."""
-    lattice, nmax = series.lattice, series.nmax
-    ds, coeffs = _numerators(series.coeffs)
-    terms = [(n, lattice.deg(beta), beta, c) for (n, beta), c in coeffs.items()]
-    terms = sorted(((n, d, beta, (n + d) * c) for n, d, beta, c in terms),  # c weighted by w
-                   key=lambda term: term[1])
+    The terms w(m1) S_m1 are ints over ds, the scale of ``form``.  Once
+    level w is final, one gcd over its ints gives L_w, the common
+    denominator of its E_m, and they are pushed as ints over L_w, so a
+    heavier level holds one bucket of ints for each scale ds L_w pushed into
+    it, and adds its buckets over the lcm of those scales.  The result is
+    over the lcm of the L_w, the common denominator of exp(S)."""
+    sums, classes = lattice._sum_table(), lattice.classes()
+    ds, coeffs = form
+    terms = sorted((i, n, n + lattice.deg(classes[i]), c)
+                   for (n, i), c in coeffs.items() if n or i)  # position 0: the zero class
     # weight -> {scale: {m: int}}: w(m) E_m is the sum of int / scale over the buckets
-    levels = {0: {1: {(0, lattice.zero()): 1}}}
-    out = {}
+    levels = {0: {1: {(0, 0): 1}}}
+    found = []  # (L_w, {m: int}) by level
     while levels:
         weight = min(levels)
         buckets = levels.pop(weight)
@@ -664,22 +734,26 @@ def _exp(series):
             lift = scale // s
             for m, c in bucket.items():
                 totals[m] = totals[m] + lift * c if m in totals else lift * c
-        level = {m: Fraction(c, scale * (weight or 1)) for m, c in totals.items() if c}
+        scale *= weight or 1
+        common = math.gcd(scale, *totals.values())
+        level = {m: c // common for m, c in totals.items() if c}
         if not level:
             continue
-        out.update(level)
-        den, level = _numerators(level)
-        scale = ds * den
-        room_d = lattice.dmax - min(weight - n for n, _ in level)
-        for n1, d1, beta1, wc in terms:
-            if d1 > room_d:
+        den = scale // common
+        found.append((den, level))
+        pushes = [(n, sums[i], c) for (n, i), c in level.items()]
+        fits = max(len(row) for _, row, _ in pushes)
+        for i1, n1, w1, c1 in terms:
+            if i1 >= fits:
                 break
-            bucket = levels.setdefault(weight + n1 + d1, {}).setdefault(scale, {})
-            for (n, beta), coeff in level.items():
-                if n + n1 <= nmax and weight - n + d1 <= lattice.dmax:
-                    key = (n + n1, _add(beta, beta1))
+            wc = w1 * c1  # c weighted by w
+            bucket = levels.setdefault(weight + w1, {}).setdefault(ds * den, {})
+            for n, row, coeff in pushes:
+                if n + n1 <= nmax and i1 < len(row):
+                    key = (n + n1, row[i1])
                     bucket[key] = bucket[key] + wc * coeff if key in bucket else wc * coeff
-    return TruncatedSeries._trusted(lattice, nmax, out)
+    scale = math.lcm(*(den for den, _ in found))
+    return scale, {m: c * (scale // den) for den, level in found for m, c in level.items()}
 
 
 # -- MacMahon ---------------------------------------------------------------------
@@ -763,7 +837,7 @@ def _pair_counts(t, gv):
                 break
             prefix.append((mult, position[rest]))
         prefixes.append(prefix)
-    return prefixes, [[gv._scaled_p0(beta) for beta in classes]], _top_n(gv, lattice.dmax)
+    return prefixes, [gv._scaled_p0()], _top_n(gv, lattice.dmax)
 
 
 def _fill(table, n):
@@ -786,18 +860,30 @@ def _top_n(gv, nmax):
 
 def pt_series_from_gv(t, gv, nmax):
     """The chamber generating series P0 * exp(y sum n0(beta) q^beta), the sum
-    over the stored classes that t admits."""
+    over the stored classes that t admits; it keeps its int form, over E
+    times the scale of the exponential."""
     lattice = gv.lattice
-    p0 = TruncatedSeries(lattice, nmax, {(0, b): gv.p0_value(b) for b in lattice.classes()})
-    active = {(1, beta): mult for beta, mult in gv.n0.items() if t.admits(lattice.deg(beta))}
-    return p0 * _exp(TruncatedSeries(lattice, nmax, active))
+    p0 = {(0, i): c for i, c in enumerate(gv._scaled_p0()) if c}
+    active = [beta for beta in gv.n0 if t.admits(lattice.deg(beta))]
+    exp = _exp_ints(lattice, nmax, _n0_form(gv, active))
+    form = _product(lattice, nmax, (gv._p0_den(), p0), exp)
+    return TruncatedSeries._from_ints(lattice, nmax, form)
+
+
+def _n0_form(gv, classes):
+    """The int form, over D, of y sum n0(beta) q^beta over the stored
+    ``classes``, those above dmax dropped."""
+    gv.lattice.classes()  # fills _positions
+    position, scale = gv.lattice._positions, gv._n0_den()
+    return scale, {(1, position[beta]): _over(gv.n0[beta], scale)
+                   for beta in classes if beta in position}
 
 
 def wall_factor_series(t0, gv, nmax):
     """exp(y sum n0(beta) q^beta) over the stored classes on the wall
     deg == 1/t0."""
-    on_wall = {(1, beta): gv.n0[beta] for beta in wall_classes(t0, gv)}
-    return _exp(TruncatedSeries(gv.lattice, nmax, on_wall))
+    form = _exp_ints(gv.lattice, nmax, _n0_form(gv, wall_classes(t0, gv)))
+    return TruncatedSeries._from_ints(gv.lattice, nmax, form)
 
 
 def wall_classes(t0, gv):
@@ -861,45 +947,45 @@ def wall_jump_check(t0, gv, nmax):
     A wall is simple at (n, beta) when exactly one k = 1 term is nonzero and
     every k >= 2 term vanishes.
 
-    The three sides of each row are compared as ints over D^n E K_W, with
-    K_W the common denominator of the wall series.  The two chambers, each
-    its series and its table of D^n E P^t(n, beta), come from the table's
-    chamber store, which keeps this call's two afterwards: a sweep over
-    the walls in ascending or descending order builds each chamber once.
-    So the table must not change once used.
+    All three run on ints.  The series identity compares int forms: with
+    the ints P of PT^+ over dp, W of the wall factor over dw and M of PT^-
+    over dm, the product W M over dw dm must have the keys of P and
+    P (dw dm) = (W M) dp on each.  The rows are compared over D^n E K_W, with K_W = dw the
+    common denominator of the wall series.  The two chambers, each its
+    series and its table of D^n E P^t(n, beta), come from the table's
+    chamber store, which keeps this call's two afterwards: a sweep over the
+    walls in ascending or descending order builds each chamber once.  So
+    the table must not change once used.
     """
     t0 = Fraction(t0)
     lattice = gv.lattice
     plus, minus = TParam.plus(t0), TParam.minus(t0)
-    wall = wall_factor_series(t0, gv, nmax)
-    (series_plus, g_plus), (series_minus, g_minus) = _chambers(gv, nmax, (plus, minus))
-    series_ok = series_plus == wall * series_minus
     classes_on_wall = wall_classes(t0, gv)
+    scale_w, wall = _exp_ints(lattice, nmax, _n0_form(gv, classes_on_wall))
+    (series_plus, g_plus), (series_minus, g_minus) = _chambers(gv, nmax, (plus, minus))
+    (scale_p, p), (scale_m, m) = series_plus._int_form(), series_minus._int_form()
+    scale_wm, wm = _product(lattice, nmax, (scale_w, wall), (scale_m, m))
+    series_ok = p.keys() == wm.keys() and all(
+        c * scale_wm == wm[key] * scale_p for key, c in p.items())
     # over D^n E K_W, W(k, b'') P^-(n-k, .) is D^k (K_W W(k, b'')) g^-(n-k, .)
     # and n0(b'') P^-(n-1, .) is (K_W D n0(b'')) g^-(n-1, .)
     scale_d, scale_e = gv._n0_den(), gv._p0_den()
-    scale_w = _common_den(wall.coeffs.values())
-    wall_terms = [(k, b2, _over(w, scale_w) * scale_d**k)
-                  for (k, b2), w in wall.coeffs.items() if k]
-    wall_n0 = [(b2, _over(gv.n0[b2], scale_d) * scale_w) for b2 in classes_on_wall]
+    position = lattice._positions
+    terms_at = _by_difference(lattice, [(i2, k, w * scale_d**k)
+                                        for (k, i2), w in wall.items() if k])
+    wall_at = _by_difference(lattice, [(position[b2], _over(gv.n0[b2], scale_d) * scale_w)
+                                       for b2 in classes_on_wall if b2 in position])
 
     rows = []
     all_ok = series_ok
-    n_top = _top_n(gv, nmax)
-    position = lattice._positions
+    dens = [scale_d**n * scale_e * scale_w for n in range(_top_n(gv, nmax) + 1)]
     for i, beta in enumerate(lattice.classes()):
-        # the wall terms and wall classes inside beta, with the position of
-        # what is left of it
-        terms_in = [(k, w, position[rest]) for k, b2, w in wall_terms
-                    if (rest := _rest(beta, b2)) is not None]
-        wall_in = [(mult, position[rest]) for b2, mult in wall_n0
-                   if (rest := _rest(beta, b2)) is not None]
-        for n in range(n_top + 1):
+        for n, den in enumerate(dens):
             jump = scale_w * (g_plus[n][i] - g_minus[n][i])
             id_wcf = 0
             active_k1 = 0
             higher_terms_vanish = True
-            for k, w, j in terms_in:
+            for k, w, j in terms_at[i]:
                 sub = k <= n and g_minus[n - k][j]
                 if sub:
                     id_wcf += math.perm(n, k) * w * sub
@@ -908,7 +994,7 @@ def wall_jump_check(t0, gv, nmax):
                     else:
                         higher_terms_vanish = False
             mspace = 0
-            for mult, j in wall_in:
+            for mult, j in wall_at[i]:
                 sub = n and g_minus[n - 1][j]
                 if sub:
                     mspace += n * mult * sub
@@ -916,14 +1002,14 @@ def wall_jump_check(t0, gv, nmax):
             row_ok = jump == id_wcf and (not simple or jump == mspace)
             all_ok = all_ok and row_ok
             if jump or id_wcf or mspace or simple:
-                den = scale_d**n * scale_e * scale_w
+                text = _ratio_str(jump, den)
                 rows.append(
                     {
                         "n": n,
                         "beta": list(beta),
-                        "jump": frac_str(Fraction(jump, den)),
-                        "id_wcf": frac_str(Fraction(id_wcf, den)),
-                        "mspace": frac_str(Fraction(mspace, den)),
+                        "jump": text,
+                        "id_wcf": text if id_wcf == jump else _ratio_str(id_wcf, den),
+                        "mspace": text if mspace == jump else _ratio_str(mspace, den),
                         "simple_wall": simple,
                         "ok": row_ok,
                     }
@@ -935,6 +1021,18 @@ def wall_jump_check(t0, gv, nmax):
         "coefficients": rows,
         "ok": all_ok,
     }
+
+
+def _by_difference(lattice, entries):
+    """For each class beta_i, [(*entry, j)] over the ``entries``
+    (p, *entry) with beta_i - beta_p the class beta_j: one call's
+    differences, read off the rows p of the lattice's addition table."""
+    sums = lattice._sum_table()
+    out = [[] for _ in sums]
+    for p, *entry in entries:
+        for j, i in enumerate(sums[p]):
+            out[i].append((*entry, j))
+    return out
 
 
 def no_wall_predicate(beta, n, nmin, lattice):

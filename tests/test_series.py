@@ -1047,3 +1047,135 @@ def test_one_memo_answers_as_cold_queries_do(monkeypatch):
             # one table per parameter, and each of its levels filled once
             assert len(built) == len(set(params)) == len(memo)
             assert sum(levels) == sum(len(table[1]) - 1 for _, table in memo.values())
+
+
+# -- the int domain of the series kernels -----------------------------------------------
+
+
+def test_split_lists_sort_the_stored_classes_once(monkeypatch):
+    rng = random.Random(316)
+    sorts = []
+    monkeypatch.setattr(series_module, "sorted",
+                        lambda *args, **kwargs: sorts.append(1) or sorted(*args, **kwargs),
+                        raising=False)
+    ranks = set()
+    for case in range(36):
+        rank = case % 3 + 1
+        gv = random_rank_table(rng, rank, None if case < 18 else 9)
+        classes = gv.lattice.classes()
+        deg, scale = gv.lattice.deg, common_den(gv.n0.values())
+        sorts.clear()
+        for beta in classes:
+            # the stored classes inside beta, sorted on their own
+            inside = [(gamma, mult) for gamma, mult in gv.n0.items()
+                      if min(b - g for b, g in zip(beta, gamma)) >= 0]
+            expected = [(deg(gamma), mult * scale, tuple(b - g for b, g in zip(beta, gamma)))
+                        for gamma, mult in sorted(inside, key=lambda item: -deg(item[0]))]
+            splits = gv._splits(beta)
+            assert splits == expected, (case, beta)
+            assert all(type(mult) is int for _, mult, _ in splits)
+        assert len(sorts) == 1, case  # one sort per table, not one per class
+        ranks.add(rank)
+    assert ranks == {1, 2, 3}
+
+
+def test_series_keys_off_the_lattice_are_refused():
+    lattice = ClassLattice(2, (1, 2), 4)
+    gv = GVTable(lattice, n0={(1, 0): 1}, p0={})
+    for beta in ((-1, 0), (2, -1), (1,), (0, 1, 0)):
+        message = f"{beta} is not a class of the lattice of rank 2 and degree at most 4"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _exp(TruncatedSeries(lattice, 3, {(1, beta): 1}))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TruncatedSeries(lattice, 3, {(0, (0, 0)): 1, (2, beta): 0})
+        if len(beta) != 2:  # pt_coeff_from_gv reads a negative entry as 0
+            with pytest.raises(ValueError, match=re.escape(message)):
+                pt_coeff_from_gv(TParam.infinity(), 1, beta, gv)
+    # keys above dmax or nmax are the truncation: dropped
+    past = {(1, (5, 0)): 1, (4, (1, 0)): 1, (1, (0, 3)): 2}  # above dmax 4 or nmax 3
+    assert TruncatedSeries(lattice, 3, past).coeffs == {}
+    one_class = TruncatedSeries(lattice, 3, {(1, (1, 0)): 1})
+    assert _exp(TruncatedSeries(lattice, 3, {(1, (1, 0)): 1, (1, (5, 0)): 7, (4, (0, 1)): 3})) \
+        == _exp(one_class) != TruncatedSeries.one(lattice, 3)
+
+
+def test_lattice_sum_table_is_tuple_addition():
+    rng = random.Random(317)
+    for case in range(30):
+        rank = case % 3 + 1
+        omega = tuple(rng.randint(1, 3) for _ in range(rank))
+        lattice = ClassLattice(rank, omega, rng.randint(0, 9 if rank < 3 else 6))
+        classes, deg = lattice.classes(), lattice.deg
+        sums = lattice._sum_table()
+        assert len(sums) == len(classes)
+        for i, beta in enumerate(classes):
+            # row i is the prefix of the classes that fit beside beta
+            fits = [j for j, gamma in enumerate(classes) if deg(beta) + deg(gamma) <= lattice.dmax]
+            assert fits == list(range(len(sums[i]))), (lattice, beta)
+            for j, position in enumerate(sums[i]):
+                assert classes[position] == tuple(b + g for b, g in zip(beta, classes[j]))
+        # one entry per pair of classes whose degrees sum to at most dmax
+        assert sum(map(len, sums)) == sum(deg(a) + deg(b) <= lattice.dmax
+                                          for a in classes for b in classes)
+        # the differences of a call, against _rest
+        differences = series_module._by_difference(lattice, [(p, p) for p in range(len(classes))])
+        for i, beta in enumerate(classes):
+            expected = [(p, classes.index(rest)) for p, gamma in enumerate(classes)
+                        if (rest := series_module._rest(beta, gamma)) is not None]
+            assert sorted(differences[i]) == expected, (lattice, beta)
+
+
+def test_series_identity_check_sees_one_wrong_coefficient(monkeypatch):
+    # n0, n1 and p0 denominators up to 9, so that the scale of PT^+ differs
+    # from the product of the scales of the wall factor and PT^-
+    rng = random.Random(318)
+    build = series_module.pt_series_from_gv
+    nmax, checked, scales_differ = 3, 0, 0
+    for case in range(36):
+        gv = random_rank_table(rng, case % 3 + 1, 9)
+        for d in sorted({gv.lattice.deg(beta) for beta in gv.n0}):
+            t0 = Fraction(1, d)
+            plus, minus = TParam.plus(t0), TParam.minus(t0)
+            report = wall_jump_check(t0, gv, nmax)
+            assert report["series_identity_ok"] and report["ok"]
+            scale_w = series_module._exp_ints(
+                gv.lattice, nmax, series_module._n0_form(gv, wall_classes(t0, gv)))[0]
+            scales_differ += (build(plus, gv, nmax)._ints[0]
+                              != scale_w * build(minus, gv, nmax)._ints[0])
+            keys = [(n, beta) for beta in gv.lattice.classes() for n in range(nmax + 1)]
+            for t in (plus, minus):
+                key = rng.choice(keys)  # a coefficient changed, or a new one
+
+                def perturbed(s, table, n, t=t, key=key):
+                    series = build(s, table, n)
+                    if s != t:
+                        return series
+                    coeffs = dict(series.coeffs)
+                    coeffs[key] = coeffs.get(key, 0) + Fraction(1, 7)
+                    return TruncatedSeries(series.lattice, series.nmax, coeffs)
+
+                monkeypatch.setattr(series_module, "pt_series_from_gv", perturbed)
+                fresh = GVTable.from_json(gv.to_json(), dmax=gv.lattice.dmax)
+                report = wall_jump_check(t0, fresh, nmax)
+                assert not report["series_identity_ok"] and not report["ok"], (case, t, key)
+                monkeypatch.setattr(series_module, "pt_series_from_gv", build)
+                checked += 1
+    assert checked >= 90 and scales_differ >= 15, (checked, scales_differ)
+
+
+def test_wall_sweep_multiplies_no_series(monkeypatch):
+    rng = random.Random(319)
+    tables = [random_rank_table(rng, case % 3 + 1, None if case < 6 else 9) for case in range(12)]
+
+    def sweep(gv):
+        degrees = sorted({gv.lattice.deg(beta) for beta in gv.n0}, reverse=True)
+        return [wall_jump_check(Fraction(1, d), gv, 3) for d in degrees]
+
+    expected = [sweep(GVTable.from_json(gv.to_json(), dmax=gv.lattice.dmax)) for gv in tables]
+
+    def refuse(self, other):
+        raise AssertionError("a wall check multiplied two series")
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", refuse)
+    assert [sweep(gv) for gv in tables] == expected
+    assert sum(map(len, expected)) >= 15
