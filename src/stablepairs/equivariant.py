@@ -21,8 +21,7 @@ raised to its multiplicity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import FrozenRecord
 from .ratfun import FactoredRatFun, _convolved, _merged, _parse_signed_sum, _signed_sum
 
 __all__ = [
@@ -198,39 +197,32 @@ class KClass:
 # -- geometry ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EqLineBundleP1:
+class EqLineBundleP1(FrozenRecord):
     """Equivariant line bundle O(a*Z0 + b*Zinf) on the line, twisted by t^twist.
 
     Z0 and Zinf are the two fixed points; a is the multiplicity at the t0-fixed
     point Z0, b the multiplicity at Zinf.
     """
 
-    a: int
-    b: int
-    twist: Weight = ZERO_WEIGHT
+    _fields = ("a", "b", "twist")
 
-    def __post_init__(self):
-        object.__setattr__(self, "twist", _check_weight(self.twist))
+    def __init__(self, a: int, b: int, twist: Weight = ZERO_WEIGHT):
+        self.__dict__.update(a=a, b=b, twist=_check_weight(twist))
 
     def twisted(self, zinf_shift, weight):
         """Tensor with O(zinf_shift * Zinf) and the character t^weight."""
         return EqLineBundleP1(self.a, self.b + zinf_shift, _add_weights(self.twist, weight))
 
 
-@dataclass(frozen=True)
-class SplitGeometry:
+class SplitGeometry(FrozenRecord):
     """Total space of O(l1) + O(l2) + O(l3) over the line; l1+l2+l3 = -2."""
 
-    l1: int
-    l2: int
-    l3: int
+    _fields = ("l1", "l2", "l3")
 
-    def __post_init__(self):
-        if self.l1 + self.l2 + self.l3 != -2:
-            raise ValueError(
-                f"split degrees ({self.l1},{self.l2},{self.l3}) must sum to -2"
-            )
+    def __init__(self, l1: int, l2: int, l3: int):
+        if l1 + l2 + l3 != -2:
+            raise ValueError(f"split degrees ({l1},{l2},{l3}) must sum to -2")
+        self.__dict__.update(l1=l1, l2=l2, l3=l3)
 
     @property
     def degrees(self):

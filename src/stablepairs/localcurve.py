@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, combinations
@@ -37,6 +36,7 @@ from .equivariant import (
     chi_p1_line,
     euler_factored,
 )
+from ._record import FrozenRecord, Record
 from .ratfun import FactoredRatFun, PoleOrderError, Poly, RatFun, ratfun_str, sum_factored
 
 __all__ = [
@@ -65,16 +65,16 @@ __all__ = [
 GEOM_STANDARD = SplitGeometry(-1, -1, 0)
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(FrozenRecord):
     """A weak composition (d_0, ..., d_k) of the curve degree d."""
 
-    parts: tuple
+    _fields = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
-        if any(p < 0 for p in self.parts) or not self.parts:
-            raise ValueError(f"composition parts {self.parts} must be nonnegative and nonempty")
+    def __init__(self, parts: tuple):
+        parts = tuple(int(p) for p in parts)
+        if any(p < 0 for p in parts) or not parts:
+            raise ValueError(f"composition parts {parts} must be nonnegative and nonempty")
+        self.__dict__["parts"] = parts
 
     @classmethod
     def _trusted(cls, parts):
@@ -103,16 +103,15 @@ class Composition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class D1FixedPoint:
+class D1FixedPoint(FrozenRecord):
     """Degree-one fixed point: sections vanishing to orders a at Z0, b at Zinf."""
 
-    a: int
-    b: int
+    _fields = ("a", "b")
 
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0:
+    def __init__(self, a: int, b: int):
+        if a < 0 or b < 0:
             raise ValueError("fixed-point orders must be nonnegative")
+        self.__dict__.update(a=a, b=b)
 
     @property
     def n(self):
@@ -327,17 +326,20 @@ def _contribution_d1(point, geom):
 # -- invariants ---------------------------------------------------------------------
 
 
-@dataclass
-class InvariantResult:
+class InvariantResult(Record):
     """One computed invariant, with enough context to report it."""
 
-    n: int
-    d: int
-    geometry: tuple
-    value: RatFun
-    fixed_point_count: int
-    elapsed_ms: int = 0
-    contributions: list = None  # optional [(label, RatFun)] audit trail
+    _fields = ("n", "d", "geometry", "value", "fixed_point_count", "elapsed_ms", "contributions")
+
+    def __init__(self, n: int, d: int, geometry: tuple, value: RatFun, fixed_point_count: int,
+                 elapsed_ms: int = 0, contributions: list = None):
+        self.n = n
+        self.d = d
+        self.geometry = geometry
+        self.value = value
+        self.fixed_point_count = fixed_point_count
+        self.elapsed_ms = elapsed_ms
+        self.contributions = contributions  # optional [(label, RatFun)] audit trail
 
     def conjecture_status(self):
         if tuple(self.geometry) != GEOM_STANDARD.degrees:

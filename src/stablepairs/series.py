@@ -52,8 +52,9 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
+
+from ._record import FrozenRecord, Record
 
 __all__ = [
     "Beta",
@@ -145,6 +146,10 @@ def _beta_key(beta):
     return json.dumps(list(beta), separators=(",", ":"))
 
 
+def _bad_class_key(key, rank):
+    return ValueError(f"bad class key {key!r}: expected a list of {rank} nonnegative integers")
+
+
 def _parse_beta(key, rank):
     """A class key: a JSON list of ``rank`` nonnegative integers."""
     values = _decode_json(key, "a class key")
@@ -153,9 +158,7 @@ def _parse_beta(key, rank):
         or len(values) != rank
         or not all(type(v) is int and v >= 0 for v in values)
     ):
-        raise ValueError(
-            f"bad class key {key!r}: expected a list of {rank} nonnegative integers"
-        )
+        raise _bad_class_key(key, rank)
     return tuple(values)
 
 
@@ -228,8 +231,7 @@ def _bounded_lattice(rank, omega, dmax, classes):
     return ClassLattice(rank, omega, dmax)
 
 
-@dataclass(frozen=True)
-class ClassLattice:
+class ClassLattice(FrozenRecord):
     """Effective classes: tuples in Z^rank with degree omega . beta <= dmax.
 
     classes() sorts them once by degree and keeps them outside equality, as
@@ -241,20 +243,17 @@ class ClassLattice:
     it holds one entry per pair of classes whose degrees sum to at most
     dmax, the same pairs a full product visits."""
 
-    rank: int
-    omega: tuple
-    dmax: int
-    _positions: dict = field(default=None, init=False, repr=False, compare=False)
-    _sums: list = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("rank", "omega", "dmax")
 
-    def __post_init__(self):
-        object.__setattr__(self, "omega", tuple(int(w) for w in self.omega))
-        if len(self.omega) != self.rank:
+    def __init__(self, rank: int, omega: tuple, dmax: int):
+        omega = tuple(int(w) for w in omega)
+        if len(omega) != rank:
             raise ValueError("omega length must equal the rank")
-        if any(w <= 0 for w in self.omega):
+        if any(w <= 0 for w in omega):
             raise ValueError("degree vector omega must be strictly positive")
-        if self.dmax < 0:
+        if dmax < 0:
             raise ValueError("dmax must be nonnegative")
+        self.__dict__.update(rank=rank, omega=omega, dmax=dmax, _positions=None, _sums=None)
 
     def deg(self, beta):
         return sum(map(operator.mul, self.omega, beta))
@@ -346,8 +345,7 @@ def _refuse_degree_zero(name, table, lattice):
 # -- invariant tables -------------------------------------------------------------
 
 
-@dataclass
-class GVTable:
+class GVTable(Record):
     """Genus-zero/one invariant tables over a class lattice.
 
     n0, n1 map positive classes to rational invariants; p0 optionally fixes
@@ -368,34 +366,30 @@ class GVTable:
     and pair-count table of the last check's two chambers, keyed by nmax and
     the lowest stored degree the chamber admits.  None of them takes part in
     equality.
+
+    A class key of n0, n1, p0 or nmin must have rank entries, none negative
+    (ValueError otherwise); classes above dmax are kept and the series drop
+    them.
     """
 
-    lattice: ClassLattice
-    n0: dict = field(default_factory=dict)
-    n1: dict = field(default_factory=dict)
-    p0: dict = None
-    meeting: dict = None
-    nmin: dict = None
-    _n0_scale: int = field(default=None, repr=False, compare=False)
-    _p0_scale: int = field(default=None, repr=False, compare=False)
-    _p0_cache: dict = field(default=None, repr=False, compare=False)
-    _p0_ints: list = field(default=None, repr=False, compare=False)
-    _heaviest: list = field(default=None, repr=False, compare=False)
-    _split_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _chambers: dict = field(default_factory=dict, repr=False, compare=False)
+    _fields = ("lattice", "n0", "n1", "p0", "meeting", "nmin")
 
-    def __post_init__(self):
-        self.n0 = {tuple(b): Fraction(v) for b, v in self.n0.items() if Fraction(v)}
-        self.n1 = {tuple(b): Fraction(v) for b, v in self.n1.items() if Fraction(v)}
-        if self.p0 is not None:
-            self.p0 = {tuple(b): Fraction(v) for b, v in self.p0.items()}
-        if self.meeting is not None:
-            self.meeting = {
-                (tuple(b1), tuple(b2)): Fraction(v)
-                for (b1, b2), v in self.meeting.items()
-            }
-        if self.nmin is not None:
-            self.nmin = {tuple(b): int(v) for b, v in self.nmin.items()}
+    def __init__(self, lattice: ClassLattice, n0: dict = None, n1: dict = None,
+                 p0: dict = None, meeting: dict = None, nmin: dict = None):
+        self.lattice = lattice
+        self.n0 = {tuple(b): Fraction(v) for b, v in (n0 or {}).items() if Fraction(v)}
+        self.n1 = {tuple(b): Fraction(v) for b, v in (n1 or {}).items() if Fraction(v)}
+        self.p0 = None if p0 is None else {tuple(b): Fraction(v) for b, v in p0.items()}
+        self.meeting = None if meeting is None else {
+            (tuple(b1), tuple(b2)): Fraction(v) for (b1, b2), v in meeting.items()
+        }
+        self.nmin = None if nmin is None else {tuple(b): int(v) for b, v in nmin.items()}
+        for table in (self.n0, self.n1, self.p0 or (), self.nmin or ()):
+            for beta in table:
+                if len(beta) != lattice.rank or min(beta, default=0) < 0:
+                    raise _bad_class_key(beta, lattice.rank)
+        self._n0_scale = self._p0_scale = self._p0_cache = self._p0_ints = self._heaviest = None
+        self._split_cache, self._chambers = {}, {}
 
     # -- degree-zero pair counts ----------------------------------------------
 
@@ -444,20 +438,24 @@ class GVTable:
             self._p0_ints = [_over(self.p0_value(b), scale) for b in self.lattice.classes()]
         return self._p0_ints
 
+    def _by_degree(self):
+        """_heaviest, [(deg gamma, D n0(gamma), gamma)] over the stored
+        classes gamma, heaviest first, the middle entry an int: the stored
+        classes are sorted and their degrees computed once per table."""
+        if self._heaviest is None:
+            _refuse_degree_zero("n0", self.n0, self.lattice)
+            deg, scale = self.lattice.deg, self._n0_den()
+            self._heaviest = sorted(
+                ((deg(gamma), _over(mult, scale), gamma) for gamma, mult in self.n0.items()),
+                key=lambda split: -split[0])
+        return self._heaviest
+
     def _splits(self, beta):
         """[(deg gamma, D n0(gamma), beta - gamma)] over the stored classes
-        gamma <= beta, heaviest first, the middle entry an int: every
-        chamber admits a prefix of it.  The stored classes are sorted once
-        per table, into _heaviest."""
+        gamma <= beta, heaviest first: every chamber admits a prefix of it."""
         splits = self._split_cache.get(beta)
         if splits is None:
-            if self._heaviest is None:
-                _refuse_degree_zero("n0", self.n0, self.lattice)
-                deg, scale = self.lattice.deg, self._n0_den()
-                self._heaviest = sorted(
-                    ((deg(gamma), _over(mult, scale), gamma) for gamma, mult in self.n0.items()),
-                    key=lambda split: -split[0])
-            splits = [(deg, mult, rest) for deg, mult, gamma in self._heaviest
+            splits = [(deg, mult, rest) for deg, mult, gamma in self._by_degree()
                       if (rest := _rest(beta, gamma)) is not None]
             self._split_cache[beta] = splits
         return splits
@@ -473,8 +471,8 @@ class GVTable:
         classes = [beta for name in names for beta in tables[name] or ()]
         return cls(
             _bounded_lattice(rank, omega, dmax, classes),
-            n0=tables["n0"] or {},
-            n1=tables["n1"] or {},
+            n0=tables["n0"],
+            n1=tables["n1"],
             p0=tables["p0"],
             meeting=tables["meeting"],
             nmin=tables["nmin"],
@@ -515,8 +513,7 @@ class NMinTable:
 # -- stability parameter -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TParam:
+class TParam(FrozenRecord):
     """Stability parameter: a positive rational with a side, or a limit.
 
     kind 'finite' carries value t and side +1/0/-1 (just above t, exactly t,
@@ -524,19 +521,18 @@ class TParam:
     'infinity' is the large-volume limit (every class is active).
     """
 
-    kind: str
-    value: Fraction = None
-    side: int = 0
+    _fields = ("kind", "value", "side")
 
-    def __post_init__(self):
-        if self.kind not in ("finite", "zero_plus", "infinity"):
-            raise ValueError(f"unknown stability parameter kind {self.kind!r}")
-        if self.side not in (-1, 0, 1):
-            raise ValueError(f"side must be -1, 0 or +1, got {self.side!r}")
-        if self.kind == "finite":  # 1/t, outside the fields; an int when it is one
-            if self.value is None or self.value <= 0:
-                raise ValueError(f"stability parameter must be positive, got {self.value}")
-            threshold = 1 / self.value
+    def __init__(self, kind: str, value: Fraction = None, side: int = 0):
+        if kind not in ("finite", "zero_plus", "infinity"):
+            raise ValueError(f"unknown stability parameter kind {kind!r}")
+        if side not in (-1, 0, 1):
+            raise ValueError(f"side must be -1, 0 or +1, got {side!r}")
+        self.__dict__.update(kind=kind, value=value, side=side)
+        if kind == "finite":  # 1/t, outside the fields; an int when it is one
+            if value is None or value <= 0:
+                raise ValueError(f"stability parameter must be positive, got {value}")
+            threshold = 1 / value
             if threshold == int(threshold):
                 threshold = int(threshold)
             object.__setattr__(self, "_threshold", threshold)
@@ -854,8 +850,8 @@ def _top_n(gv, nmax):
     """min(nmax, dmax // the smallest stored class degree): P^t(n, beta) sums
     over n stored classes inside beta, so no class of the lattice has a
     nonzero pair count at a larger n (nor at n >= 1 when n0 is empty)."""
-    low = min(map(gv.lattice.deg, gv.n0), default=None)
-    return 0 if low is None else min(nmax, gv.lattice.dmax // low)
+    heaviest = gv._by_degree()
+    return min(nmax, gv.lattice.dmax // heaviest[-1][0]) if heaviest else 0
 
 
 def pt_series_from_gv(t, gv, nmax):
@@ -888,7 +884,7 @@ def wall_factor_series(t0, gv, nmax):
 
 def wall_classes(t0, gv):
     threshold = 1 / Fraction(t0)
-    return [b for b in sorted(gv.n0) if gv.lattice.deg(b) == threshold]
+    return sorted(gamma for deg, _, gamma in gv._by_degree() if deg == threshold)
 
 
 def js_from_gv(n, beta, gv):
@@ -913,7 +909,12 @@ def js_from_gv(n, beta, gv):
 def _lowest_admitted(t, gv):
     """The smallest stored degree that t admits, or None: t admits exactly
     the stored classes of at least that degree, so it names the chamber."""
-    return min((d for d in set(map(gv.lattice.deg, gv.n0)) if t.admits(d)), default=None)
+    lowest = None
+    for deg, _, _ in gv._by_degree():
+        if not t.admits(deg):
+            break
+        lowest = deg
+    return lowest
 
 
 def _chambers(gv, nmax, sides):

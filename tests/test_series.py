@@ -34,6 +34,7 @@ from stablepairs.series import (
     wall_jump_check,
     _exp,
     _fill,
+    _lowest_admitted,
     _pair_counts,
     _top_n,
 )
@@ -113,6 +114,41 @@ def test_lattice_rejects_nonpositive_weights():
         ClassLattice(1, (0,), 3)
     with pytest.raises(ValueError):
         ClassLattice(2, (1, -1), 3)
+
+
+def test_table_rejects_keys_off_its_lattice():
+    lattice = ClassLattice(2, (1, 2), 4)
+    with pytest.raises(ValueError, match=re.escape(
+            "bad class key (1,): expected a list of 2 nonnegative integers")):
+        GVTable(lattice, n0={(1,): 1, (-1, 2): 3}, p0={})
+    for name in ("n0", "n1", "p0", "nmin"):
+        for beta in ((1, 0, 0), (-1, 2), (2, -1)):
+            with pytest.raises(ValueError, match="bad class key"):
+                GVTable(lattice, **{name: {beta: 1}})
+    # classes above dmax stay allowed, and the series drop them
+    gv = GVTable(lattice, n0={(1, 0): 1, (5, 0): 2}, p0={})
+    assert pt_series_from_gv(TParam.infinity(), gv, 2) == pt_series_from_gv(
+        TParam.infinity(), GVTable(lattice, n0={(1, 0): 1}, p0={}), 2)
+
+
+def test_stored_degrees_are_computed_once_per_table(monkeypatch):
+    gv = GVTable(ClassLattice(2, (1, 2), 6), n0={(0, 2): 1, (1, 0): 2, (0, 1): 3, (2, 0): 1})
+    heaviest = gv._by_degree()
+    assert [deg for deg, _, _ in heaviest] == [4, 2, 2, 1]
+
+    def no_degree(self, beta):
+        raise AssertionError("degree recomputed")
+
+    monkeypatch.setattr(ClassLattice, "deg", no_degree)
+    assert _top_n(gv, 9) == 6 and _top_n(gv, 2) == 2
+    assert _top_n(GVTable(gv.lattice), 9) == 0
+    assert wall_classes(Fraction(1, 2), gv) == [(0, 1), (2, 0)]
+    assert wall_classes(Fraction(1, 3), gv) == []
+    assert _lowest_admitted(TParam.plus(Fraction(1, 2)), gv) == 2
+    assert _lowest_admitted(TParam.minus(Fraction(1, 2)), gv) == 4
+    assert _lowest_admitted(TParam.zero_plus(), gv) is None
+    assert _lowest_admitted(TParam.infinity(), gv) == 1
+    assert gv._by_degree() is heaviest
 
 
 # -- MacMahon -------------------------------------------------------------------------
