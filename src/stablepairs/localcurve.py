@@ -555,25 +555,29 @@ def _residue_term(d0, d1):
 
     (-1)^d1 / (d0! d1!) * (l0 + (d0 - d1) l3) / prod_{j=-d1}^{d0} (l0 + j l3).
 
-    The numerator is one of the denominator forms, so it cancels.
+    The numerator is one of the denominator forms, so it cancels: the term
+    is written as its factor list {(1, 0, 0, j): -1} over j in [-d1, d0],
+    j != d0 - d1, forms that are already primitive.
     """
-    factors = [((1, 0, 0, d0 - d1), 1)]
-    factors.extend(((1, 0, 0, j), -1) for j in range(-d1, d0 + 1))
+    forms = {(1, 0, 0, j): -1 for j in range(-d1, d0 + 1) if j != d0 - d1}
     scalar = Fraction((-1) ** d1, math.factorial(d0) * math.factorial(d1))
-    return FactoredRatFun.product(scalar, factors)
+    return FactoredRatFun._trusted(scalar, forms)
 
 
 def _residues_at_l3_one(term, d):
-    """{m: residue at l0 = m} of a residue summand at l3 = 1, which must be
+    """{m: (num, den)} of a residue summand at l3 = 1, which must be
     scalar / prod_j (l0 + j l3) over distinct j in [-d, d] (else
-    PoleOrderError): at m = -j, scalar / prod_{k != j} (k - j)."""
+    PoleOrderError): at m = -j the residue is num / den with num the
+    scalar's numerator and den its denominator times prod_{k != j} (k - j),
+    unreduced ints."""
     js = []
     for form, e in term.forms.items():
         if e != -1 or form != (1, 0, 0, form[-1]) or not -d <= form[-1] <= d:
             raise PoleOrderError(
                 f"summand factor {form}^{e} is not (l0 + j l3)^-1 with |j| <= {d}")
         js.append(form[-1])
-    return {-j: term.scalar / math.prod(k - j for k in js if k != j) for j in js}
+    num, den = term.scalar.numerator, term.scalar.denominator
+    return {-j: (num, den * math.prod(k - j for k in js if k != j)) for j in js}
 
 
 def _printed_residue_total(m, d):
@@ -595,19 +599,25 @@ def residue_vanishing_check(d):
     The l3 = 1 specialization Phi(l0) of l3^(2d) * P(2d, d) is a sum over
     ordered (d0, d1) with d0 + d1 = d of simple-pole terms.  The check: every
     summand, read off its factor list, has only simple poles at integers m in
-    [-d, d] (else PoleOrderError); the residues of Phi there, summed exactly
-    from one int product per summand and pole, all vanish (matching the
-    printed closed form, which vanishes by the j -> -j antisymmetry of its
-    reindexed summands); and Phi itself is identically zero.
+    [-d, d] (else PoleOrderError); the residues of Phi there, one int pair
+    per summand and pole, summed over a cross-multiplied denominator and
+    reduced once per pole, all vanish (matching the printed closed form,
+    which vanishes by the j -> -j antisymmetry of its reindexed summands);
+    and Phi itself is identically zero.  Raises ValueError unless d is an
+    int of at least 1.
     """
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise ValueError(f"residue certificate needs an integer degree d >= 1, got {d!r}")
     terms = [_residue_term(d - d1, d1) for d1 in range(d + 1)]
-    totals = dict.fromkeys(range(-d, d + 1), Fraction(0))
+    sums = dict.fromkeys(range(-d, d + 1), (0, 1))
     for term in terms:
-        for m, residue in _residues_at_l3_one(term, d).items():
-            totals[m] += residue
+        for m, (num, den) in _residues_at_l3_one(term, d).items():
+            total, common = sums[m]
+            sums[m] = (total * den + num * common, common * den)
     pole_rows = []
     ok = True
-    for m, res in totals.items():
+    for m, (total, common) in sums.items():
+        res = Fraction(total, common)
         printed = (
             _printed_residue_total(m, d) if m >= 0 else -_printed_residue_total(-m, d)
         )

@@ -860,7 +860,7 @@ def pt_series_from_gv(t, gv, nmax):
     times the scale of the exponential."""
     lattice = gv.lattice
     p0 = {(0, i): c for i, c in enumerate(gv._scaled_p0()) if c}
-    active = [beta for beta in gv.n0 if t.admits(lattice.deg(beta))]
+    active = [gamma for _, _, gamma in _admitted(t, gv)]
     exp = _exp_ints(lattice, nmax, _n0_form(gv, active))
     form = _product(lattice, nmax, (gv._p0_den(), p0), exp)
     return TruncatedSeries._from_ints(lattice, nmax, form)
@@ -877,13 +877,15 @@ def _n0_form(gv, classes):
 
 def wall_factor_series(t0, gv, nmax):
     """exp(y sum n0(beta) q^beta) over the stored classes on the wall
-    deg == 1/t0."""
+    deg == 1/t0 (wall_classes, so t0 <= 0 raises ValueError)."""
     form = _exp_ints(gv.lattice, nmax, _n0_form(gv, wall_classes(t0, gv)))
     return TruncatedSeries._from_ints(gv.lattice, nmax, form)
 
 
 def wall_classes(t0, gv):
-    threshold = 1 / Fraction(t0)
+    """The stored classes of degree 1/t0, sorted; t0 <= 0 raises TParam's
+    ValueError."""
+    threshold = TParam.exact(t0)._threshold
     return sorted(gamma for deg, _, gamma in gv._by_degree() if deg == threshold)
 
 
@@ -906,15 +908,22 @@ def js_from_gv(n, beta, gv):
 # -- wall-crossing checks --------------------------------------------------------------
 
 
+def _admitted(t, gv):
+    """The entries of gv._by_degree() whose classes t admits: a prefix of
+    them, which ends at the first degree t does not admit (WallError for an
+    exact t on the wall of a stored degree)."""
+    heaviest = gv._by_degree()
+    for count, (deg, _, _) in enumerate(heaviest):
+        if not t.admits(deg):
+            return heaviest[:count]
+    return heaviest
+
+
 def _lowest_admitted(t, gv):
     """The smallest stored degree that t admits, or None: t admits exactly
     the stored classes of at least that degree, so it names the chamber."""
-    lowest = None
-    for deg, _, _ in gv._by_degree():
-        if not t.admits(deg):
-            break
-        lowest = deg
-    return lowest
+    admitted = _admitted(t, gv)
+    return admitted[-1][0] if admitted else None
 
 
 def _chambers(gv, nmax, sides):

@@ -445,7 +445,9 @@ def test_residues_pinned_text_and_json():
 
 
 def test_residues_rejects_nonpositive_degree():
-    assert run(["residues", "--d", "0"])[0] == 2
+    for d in ("0", "-1"):
+        code, out, err = run(["residues", "--d", d])
+        assert (code, out) == (2, "") and "--d must be at least 1" in err, d
 
 
 # -- series pt -----------------------------------------------------------------------

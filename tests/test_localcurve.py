@@ -6,6 +6,7 @@ import io
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -438,7 +439,8 @@ def test_residue_summands_frozen_at_first_pole():
     terms = [_residue_term(2 - d1, d1) for d1 in range(3)]
     expected = [Fraction(0), Fraction(-1, 2), Fraction(1, 2)]
     assert [residue_at(at_l3_one(term), 1).as_fraction() for term in terms] == expected
-    assert [_residues_at_l3_one(term, 2).get(1, 0) for term in terms] == expected
+    assert [Fraction(*_residues_at_l3_one(term, 2).get(1, (0, 1)))
+            for term in terms] == expected
 
 
 def test_residue_summands_equal_the_reduced_generic_fraction():
@@ -467,7 +469,8 @@ def test_int_residues_match_residue_at_on_every_summand():
             assert len(residues) == d and set(residues) <= set(range(-d, d + 1))
             f = at_l3_one(term)
             for m in range(-d, d + 1):
-                assert residues.get(m, 0) == residue_at(f, m).as_fraction(), (d, d1, m)
+                residue = Fraction(*residues[m]) if m in residues else 0
+                assert residue == residue_at(f, m).as_fraction(), (d, d1, m)
 
 
 def test_residue_certificate_runs_no_poly_or_ratfun_arithmetic(monkeypatch):
@@ -518,6 +521,80 @@ def test_residue_certificate_fails_on_a_doubled_summand(monkeypatch):
         assert report["ok"] is False
         assert report["phi_is_zero"] is False
         assert any(row["residue"] != "0" for row in report["poles"])
+
+
+def reference_residue_term(d0, d1):
+    """The summand as built before it was written as its factor list: the
+    numerator form and every denominator form through FactoredRatFun.product,
+    which cancels the pair and normalizes each form."""
+    factors = [((1, 0, 0, d0 - d1), 1)]
+    factors.extend(((1, 0, 0, j), -1) for j in range(-d1, d0 + 1))
+    scalar = Fraction((-1) ** d1, math.factorial(d0) * math.factorial(d1))
+    return FactoredRatFun.product(scalar, factors)
+
+
+def reference_residue_report(d):
+    """residue_vanishing_check(d) with every residue a Fraction, summed one
+    Fraction addition per summand and pole, on localcurve._residue_term as
+    it is bound when called."""
+    terms = [localcurve._residue_term(d - d1, d1) for d1 in range(d + 1)]
+    totals = dict.fromkeys(range(-d, d + 1), Fraction(0))
+    for term in terms:
+        js = [form[-1] for form in term.forms]
+        for j in js:
+            totals[-j] += term.scalar / math.prod(k - j for k in js if k != j)
+    pole_rows = []
+    ok = True
+    for m, res in totals.items():
+        printed = (localcurve._printed_residue_total(m, d) if m >= 0
+                   else -localcurve._printed_residue_total(-m, d))
+        row_ok = res == 0 and printed == 0 and res == printed
+        ok = ok and row_ok
+        pole_rows.append({"m": m, "residue": str(res), "printed_form": str(printed),
+                          "ok": row_ok})
+    phi_zero = localcurve.sum_factored(terms, 4).is_zero()
+    return {"d": d, "n": 2 * d, "poles": pole_rows, "phi_is_zero": phi_zero,
+            "ok": ok and phi_zero}
+
+
+def test_residue_terms_written_as_factor_lists_match_the_product():
+    for d in range(1, 26):
+        for d1 in range(d + 1):
+            term, expected = _residue_term(d - d1, d1), reference_residue_term(d - d1, d1)
+            assert term.scalar == expected.scalar, (d, d1)
+            assert list(term.forms.items()) == list(expected.forms.items()), (d, d1)
+
+
+def test_int_residue_totals_match_the_fraction_sums():
+    for d in range(1, 26):
+        assert residue_vanishing_check(d) == reference_residue_report(d), d
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda term: term.times_scalar(2),
+    lambda term: term.times_scalar(Fraction(3, 2)),
+    lambda term: term.times_scalar(0),  # dropped: sum_factored skips a zero term
+    lambda term: term.times_scalar(-1),
+], ids=["doubled", "scaled_by_3_2", "dropped", "sign_flipped"])
+def test_int_residue_totals_match_the_fraction_sums_on_a_corrupted_summand(
+        monkeypatch, corrupt):
+    for d in (1, 2, 3, 6, 11):
+        for bad in (0, d // 2, d):
+            def changed(d0, d1, bad=bad):
+                term = _residue_term(d0, d1)
+                return corrupt(term) if d1 == bad else term
+
+            monkeypatch.setattr("stablepairs.localcurve._residue_term", changed)
+            report = residue_vanishing_check(d)
+            assert report == reference_residue_report(d), (d, bad)
+            assert report["ok"] is False and report["phi_is_zero"] is False
+            assert any(row["residue"] != "0" for row in report["poles"]), (d, bad)
+
+
+@pytest.mark.parametrize("d", [0, -1, 1.0, 2.5, "3", None, True])
+def test_residue_certificate_refuses_a_bad_degree(d):
+    with pytest.raises(ValueError, match=re.escape(f"got {d!r}")):
+        residue_vanishing_check(d)
 
 
 def test_residue_vanishing_certificate():

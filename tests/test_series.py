@@ -342,6 +342,40 @@ def test_empty_table_series_is_one():
     assert series == TruncatedSeries.one(lattice, 3)
 
 
+def test_wall_classes_and_wall_factor_series_refuse_a_nonpositive_t0():
+    gv = local_p2_table()
+    for t0 in (0, -1, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match=f"must be positive, got {t0}$"):
+            wall_classes(t0, gv)
+        with pytest.raises(ValueError, match=f"must be positive, got {t0}$"):
+            wall_factor_series(t0, gv, 3)
+
+
+def test_chamber_series_on_a_stored_wall_raises_and_off_it_matches_every_class():
+    """pt_series_from_gv admits a heaviest-first prefix of the stored
+    classes: an exact t on a stored wall still raises WallError, and off the
+    walls the series is the exponential over every stored class t admits."""
+    gv = local_p2_table()  # n0 on degrees 1 and 4
+    for t, deg in ((1, 1), (Fraction(1, 4), 4)):
+        with pytest.raises(WallError, match=f"degree-{deg} class"):
+            pt_series_from_gv(TParam.exact(t), gv, 3)
+    rng = random.Random(523)
+    for case in range(12):
+        gv = random_rank_table(rng, case % 3 + 1)
+        lattice, nmax = gv.lattice, 3
+        degrees = sorted({lattice.deg(beta) for beta in gv.n0})
+        for d in degrees:
+            with pytest.raises(WallError, match=f"degree-{d} class"):
+                pt_series_from_gv(TParam.exact(Fraction(1, d)), gv, nmax)
+        for t in chambers(gv):
+            active = {beta: v for beta, v in gv.n0.items() if t.admits(lattice.deg(beta))}
+            exponent = TruncatedSeries(lattice, nmax, {(1, b): v for b, v in active.items()})
+            p0 = TruncatedSeries(lattice, nmax, {(0, b): gv.p0_value(b)
+                                                 for b in lattice.classes()})
+            expected = reference_mul(p0, _exp(exponent))
+            assert pt_series_from_gv(t, gv, nmax) == expected, (case, t)
+
+
 def test_wall_factor_only_involves_classes_on_the_wall():
     gv = local_p2_table()
     assert wall_classes(1, gv) == [(1,)]
