@@ -22,19 +22,21 @@ truncated exactly (y-degree at most nmax, class degree at most dmax,
 coefficients Fractions); the truncation is an ideal, so exp(a + b) =
 exp(a) exp(b) holds coefficient by coefficient.
 
-Every value passed in or out is a Fraction, but the four hot loops run on
-ints over common denominators, each the lcm of the denominators present, and
-build a Fraction only for a value that leaves them: the recursion over
-D = lcm of the n0 denominators and E = lcm of the P(0, beta) denominators
-(D^n E P^t(n, beta) is an int); the products and the exponential on
-position-keyed ints, (scale, {(n, position of beta): int}), adding classes
-through the lattice's addition table, which holds one entry per pair of
-classes whose degrees sum to at most dmax, the same pairs a full product
-visits; a product over the two operands' scales; _exp over L_w, the lcm of
-the denominators on weight level w (one gcd over the level's ints), times
-the series' scale; and a wall check, whose series identity cross-multiplies
-the int forms by their scales and whose jump formula runs over D^n E K_W,
-K_W the lcm of the wall series' denominators.  The recursion has one
+Every value passed in or out is a Fraction, but a series is held as its
+int form alone, (scale, {(n, position of beta): int}), and the four hot
+loops run on ints over common denominators, building a Fraction only for a
+value that leaves them (a series coefficient is built when it is read): the
+recursion over D = lcm of the n0 denominators and E = lcm of the P(0, beta)
+denominators (D^n E P^t(n, beta) is an int); the products and the
+exponential on int forms, adding classes through the lattice's addition
+table, which holds one entry per pair of classes whose degrees sum to at
+most dmax, the same pairs a full product visits; a product over the two
+operands' scales; _exp over L_w, the lcm of the denominators on weight
+level w (one gcd over the level's ints), times the series' scale; and a
+wall check, whose series identity is the series' == (the same keys, and
+the ints equal once cross-multiplied by the scales) and whose jump formula
+runs over D^n E K_W, K_W the lcm of the wall series' denominators.  A
+series truncated at nmax < 0 is refused.  The recursion has one
 form: a table of every D^n E P^t(n, beta) of a chamber, filled level by
 level in n as far as asked.  pt_coeff_from_gv keeps it in its caller's
 memo, and a wall check keeps the two chambers of its wall, series and
@@ -355,21 +357,23 @@ class GVTable(Record):
     meeting and nmin are auxiliary tables for the genus-one assembly and the
     wall predicates.
 
-    A table is treated as immutable once used: the scales D (the lcm of the
-    n0 denominators) and E (of the P(0, beta) denominators), the synthesized
-    p0, the ints E P(0, beta_i) by class position (level 0 of every
-    pair-count table and the degree-zero factor of every chamber series),
-    the stored classes heaviest first and the split table of the pair-count
-    tables (for each class beta, the stored classes gamma <= beta with their
-    degree, D n0(gamma) and beta - gamma, in that order) are built on first
-    use and kept.  So is the chamber store of wall_jump_check: the series
-    and pair-count table of the last check's two chambers, keyed by nmax and
-    the lowest stored degree the chamber admits.  None of them takes part in
-    equality.
+    A table is treated as immutable once used: the scale D (the lcm of the
+    n0 denominators), the degree-zero form (E, [E P(0, beta_i)] by class
+    position, E the lcm of the P(0, beta) denominators, explicit or
+    synthesized: level 0 of every pair-count table and the degree-zero
+    factor of every chamber series), the stored classes heaviest first with
+    their degree and D n0, and the split table of the pair-count tables (for
+    each class beta, the stored classes gamma <= beta with their degree,
+    D n0(gamma) and beta - gamma, in that order) are built on first use and
+    kept.  So is the chamber store of wall_jump_check: the series and
+    pair-count table of the last check's two chambers, keyed by nmax and the
+    lowest stored degree the chamber admits.  None of them takes part in
+    equality; p0_value builds a Fraction from the degree-zero form when it
+    is read.
 
-    A class key of n0, n1, p0 or nmin must have rank entries, none negative
-    (ValueError otherwise); classes above dmax are kept and the series drop
-    them.
+    A class key of n0, n1, p0 or nmin, and either class of a meeting key,
+    must have rank entries, none negative (ValueError otherwise); classes
+    above dmax are kept and the series drop them.
     """
 
     _fields = ("lattice", "n0", "n1", "p0", "meeting", "nmin")
@@ -384,11 +388,12 @@ class GVTable(Record):
             (tuple(b1), tuple(b2)): Fraction(v) for (b1, b2), v in meeting.items()
         }
         self.nmin = None if nmin is None else {tuple(b): int(v) for b, v in nmin.items()}
-        for table in (self.n0, self.n1, self.p0 or (), self.nmin or ()):
+        meeting_classes = itertools.chain.from_iterable(self.meeting or ())
+        for table in (self.n0, self.n1, self.p0 or (), self.nmin or (), meeting_classes):
             for beta in table:
                 if len(beta) != lattice.rank or min(beta, default=0) < 0:
                     raise _bad_class_key(beta, lattice.rank)
-        self._n0_scale = self._p0_scale = self._p0_cache = self._p0_ints = self._heaviest = None
+        self._n0_scale = self._degree_zero = self._heaviest = None
         self._split_cache, self._chambers = {}, {}
 
     # -- degree-zero pair counts ----------------------------------------------
@@ -401,42 +406,38 @@ class GVTable(Record):
             if beta in self.p0:
                 return self.p0[beta]
             return _FRACTION_ZERO if any(beta) else _FRACTION_ONE
-        p0 = self._synthesized_p0()  # lists the lattice's classes, and so its _positions
-        if beta not in self.lattice._positions and min(beta, default=0) >= 0:
+        scale, ints = self._p0_form()  # lists the lattice's classes, and so its _positions
+        i = self.lattice._positions.get(beta)
+        if i is None and min(beta, default=0) >= 0:
             raise _not_a_class(beta, self.lattice)
-        return p0.get(beta, _FRACTION_ZERO)
+        return _FRACTION_ZERO if i is None else Fraction(ints[i], scale)
 
-    def _synthesized_p0(self):
-        """exp of the log series sum_beta n1(beta) sum_k logM_k q^(k beta)."""
-        if self._p0_cache is None:
+    def _p0_form(self):
+        """_degree_zero, (E, [E P(0, beta_i)] over the lattice's classes by
+        position), ints, E the lcm of the P(0, beta) denominators: the int
+        form of the series sum_beta P(0, beta) q^beta at nmax 0.  An
+        explicit p0 has P(0, 0) = 1 unless it says otherwise; a synthesized
+        one is the exponential of the log series
+        sum_beta n1(beta) sum_k logM_k q^(k beta)."""
+        if self._degree_zero is None:
             lat = self.lattice
-            _refuse_degree_zero("n1", self.n1, lat)
-            logm = log_macmahon(lat.dmax).__getitem__
-            log_series = {(0, b): _cover_sum(b, self.n1, logm) for b in lat.positive_classes()}
-            p0 = _exp(TruncatedSeries(lat, 0, log_series))
-            self._p0_cache = {beta: c for (_, beta), c in p0.coeffs.items()}
-        return self._p0_cache
+            if self.p0 is None:
+                _refuse_degree_zero("n1", self.n1, lat)
+                logm = log_macmahon(lat.dmax).__getitem__
+                log_series = {(0, b): _cover_sum(b, self.n1, logm) for b in lat.positive_classes()}
+                series = _exp(TruncatedSeries(lat, 0, log_series))
+            else:
+                p0 = {(0, lat.zero()): 1, **{(0, b): v for b, v in self.p0.items()}}
+                series = TruncatedSeries(lat, 0, p0)
+            scale, ints = series._ints
+            self._degree_zero = scale, [ints.get((0, i), 0) for i in range(len(lat.classes()))]
+        return self._degree_zero
 
     def _n0_den(self):
         """D, the lcm of the n0 denominators."""
         if self._n0_scale is None:
             self._n0_scale = _common_den(self.n0.values())
         return self._n0_scale
-
-    def _p0_den(self):
-        """E, the lcm of the P(0, beta) denominators over every class,
-        explicit or synthesized (P(0, 0) = 1 by default among them)."""
-        if self._p0_scale is None:
-            p0 = self.p0 if self.p0 is not None else self._synthesized_p0()
-            self._p0_scale = _common_den(p0.values())
-        return self._p0_scale
-
-    def _scaled_p0(self):
-        """[E P(0, beta_i)] over the lattice's classes by position, ints."""
-        if self._p0_ints is None:
-            scale = self._p0_den()
-            self._p0_ints = [_over(self.p0_value(b), scale) for b in self.lattice.classes()]
-        return self._p0_ints
 
     def _by_degree(self):
         """_heaviest, [(deg gamma, D n0(gamma), gamma)] over the stored
@@ -595,82 +596,83 @@ class TParam(FrozenRecord):
 # -- truncated bigraded series ------------------------------------------------------
 
 
+def _check_nmax(nmax):
+    """A series is truncated at a y-degree nmax >= 0 (ValueError otherwise)."""
+    if nmax < 0:
+        raise ValueError(f"series truncation nmax must be nonnegative, got {nmax}")
+
+
 class TruncatedSeries:
-    """Series in y (order <= nmax) and q^beta (degree <= lattice.dmax), its
-    coefficients nonzero Fractions keyed by (n, beta).  Keys past the
-    truncation are dropped; a class key of another length or with a
-    negative entry raises ValueError.
+    """Series in y (order <= nmax) and q^beta (degree <= lattice.dmax), built
+    from nonzero coefficients keyed by (n, beta).  Keys past the truncation
+    are dropped; a class key of another length or with a negative entry, or
+    nmax < 0, raises ValueError.
 
-    A series is a value, not changed once built.  One built from ints here
-    keeps them in _ints, its int form (scale, {(n, position of beta): int}),
-    the coefficients as ints over one common scale, with which the series
-    kernels work (_product, _exp_ints)."""
+    A series is a value, not changed once built, held as its int form
+    _ints alone: (scale, {(n, position of beta): int}), the nonzero
+    coefficients as ints over one common scale, with which the series
+    kernels work (_product, _exp_ints).  coeffs and coefficient build the
+    Fractions when they are read, and == is the series identity: the same
+    keys, and the ints equal once cross-multiplied by the scales."""
 
-    __slots__ = ("lattice", "nmax", "coeffs", "_ints")
+    __slots__ = ("lattice", "nmax", "_ints")
 
     def __init__(self, lattice, nmax, coeffs=None):
-        self.lattice = lattice
-        self.nmax = nmax
-        self._ints = None
-        clean = {}
-        if coeffs:
-            for (n, beta), c in coeffs.items():
-                beta = tuple(beta)
-                if len(beta) != lattice.rank or min(beta, default=0) < 0:
-                    raise _not_a_class(beta, lattice)
-                if not isinstance(c, Fraction):
-                    c = Fraction(c)
-                if c and 0 <= n <= nmax and lattice.deg(beta) <= lattice.dmax:
-                    clean[(n, beta)] = c
-        self.coeffs = clean
+        _check_nmax(nmax)
+        lattice.classes()  # fills _positions
+        position, clean = lattice._positions, {}
+        for (n, beta), c in (coeffs or {}).items():
+            beta = tuple(beta)
+            if len(beta) != lattice.rank or min(beta, default=0) < 0:
+                raise _not_a_class(beta, lattice)
+            if (c := Fraction(c)) and 0 <= n <= nmax and beta in position:
+                clean[(n, position[beta])] = c
+        scale = _common_den(clean.values())
+        self.lattice, self.nmax = lattice, nmax
+        self._ints = scale, {key: _over(c, scale) for key, c in clean.items()}
 
     @classmethod
     def _from_ints(cls, lattice, nmax, form):
         """Internal: the series of an int form with keys inside the
-        truncation and nonzero ints, keeping the form."""
-        scale, ints = form
-        classes = lattice.classes()
+        truncation and nonzero ints."""
         out = cls.__new__(cls)
         out.lattice, out.nmax, out._ints = lattice, nmax, form
-        out.coeffs = {(n, classes[i]): Fraction(c, scale) for (n, i), c in ints.items()}
         return out
-
-    def _int_form(self):
-        """(scale, {(n, position of beta): int}): the kept int form, or the
-        coefficients as ints over their common denominator."""
-        if self._ints is not None:
-            return self._ints
-        self.lattice.classes()  # fills _positions
-        position, scale = self.lattice._positions, _common_den(self.coeffs.values())
-        return scale, {(n, position[beta]): _over(c, scale)
-                       for (n, beta), c in self.coeffs.items()}
 
     @classmethod
     def one(cls, lattice, nmax):
-        return cls(lattice, nmax, {(0, lattice.zero()): Fraction(1)})
+        return cls(lattice, nmax, {(0, lattice.zero()): 1})
+
+    @property
+    def coeffs(self):
+        """{(n, beta): nonzero Fraction}, a new dict on each read."""
+        classes, (scale, ints) = self.lattice.classes(), self._ints
+        return {(n, classes[i]): Fraction(c, scale) for (n, i), c in ints.items()}
 
     def coefficient(self, n, beta):
-        return self.coeffs.get((n, tuple(beta)), _FRACTION_ZERO)
+        """The coefficient of y^n q^beta, a Fraction; 0 for a key the series
+        does not hold, a tuple off the lattice among them."""
+        scale, ints = self._ints
+        c = ints.get((n, self.lattice._positions.get(tuple(beta))))
+        return Fraction(c, scale) if c else _FRACTION_ZERO
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.lattice == other.lattice
-            and self.nmax == other.nmax
-            and self.coeffs == other.coeffs
-        )
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        (scale_a, a), (scale_b, b) = self._ints, other._ints
+        return ((self.lattice, self.nmax) == (other.lattice, other.nmax) and a.keys() == b.keys()
+                and all(c * scale_b == b[key] * scale_a for key, c in a.items()))
 
     def __add__(self, other):
-        out = dict(self.coeffs)
+        out = self.coeffs
         for key, c in other.coeffs.items():
             out[key] = out.get(key, 0) + c
         return TruncatedSeries(self.lattice, self.nmax, out)
 
     def __mul__(self, other):
         """The product (see _product)."""
-        lattice, nmax = self.lattice, self.nmax
-        return TruncatedSeries._from_ints(
-            lattice, nmax, _product(lattice, nmax, self._int_form(), other._int_form()))
+        form = _product(self.lattice, self.nmax, self._ints, other._ints)
+        return TruncatedSeries._from_ints(self.lattice, self.nmax, form)
 
 
 def _product(lattice, nmax, left, right):
@@ -697,7 +699,7 @@ def _product(lattice, nmax, left, right):
 def _exp(series):
     """exp(series) for a series without a constant term (see _exp_ints)."""
     lattice, nmax = series.lattice, series.nmax
-    return TruncatedSeries._from_ints(lattice, nmax, _exp_ints(lattice, nmax, series._int_form()))
+    return TruncatedSeries._from_ints(lattice, nmax, _exp_ints(lattice, nmax, series._ints))
 
 
 def _exp_ints(lattice, nmax, form):
@@ -713,7 +715,9 @@ def _exp_ints(lattice, nmax, form):
     denominator of its E_m, and they are pushed as ints over L_w, so a
     heavier level holds one bucket of ints for each scale ds L_w pushed into
     it, and adds its buckets over the lcm of those scales.  The result is
-    over the lcm of the L_w, the common denominator of exp(S)."""
+    over the lcm of the L_w, the common denominator of exp(S).  nmax < 0
+    raises ValueError."""
+    _check_nmax(nmax)
     sums, classes = lattice._sum_table(), lattice.classes()
     ds, coeffs = form
     terms = sorted((i, n, n + lattice.deg(classes[i]), c)
@@ -811,7 +815,7 @@ def pt_coeff_from_gv(t, n, beta, gv, memo=None):
     if n >= len(g) and n >= len(_fill(table, n)):  # above the top level: 0
         return _FRACTION_ZERO
     value = g[n][i]
-    return Fraction(value, gv._n0_den() ** n * gv._p0_den()) if value else _FRACTION_ZERO
+    return Fraction(value, gv._n0_den() ** n * gv._p0_form()[0]) if value else _FRACTION_ZERO
 
 
 def _pair_counts(t, gv):
@@ -833,7 +837,7 @@ def _pair_counts(t, gv):
                 break
             prefix.append((mult, position[rest]))
         prefixes.append(prefix)
-    return prefixes, [gv._scaled_p0()], _top_n(gv, lattice.dmax)
+    return prefixes, [gv._p0_form()[1]], _top_n(gv, lattice.dmax)
 
 
 def _fill(table, n):
@@ -857,36 +861,41 @@ def _top_n(gv, nmax):
 def pt_series_from_gv(t, gv, nmax):
     """The chamber generating series P0 * exp(y sum n0(beta) q^beta), the sum
     over the stored classes that t admits; it keeps its int form, over E
-    times the scale of the exponential."""
+    times the scale of the exponential; nmax < 0 raises ValueError."""
     lattice = gv.lattice
-    p0 = {(0, i): c for i, c in enumerate(gv._scaled_p0()) if c}
-    active = [gamma for _, _, gamma in _admitted(t, gv)]
-    exp = _exp_ints(lattice, nmax, _n0_form(gv, active))
-    form = _product(lattice, nmax, (gv._p0_den(), p0), exp)
+    scale_e, p0 = gv._p0_form()
+    exp = _exp_ints(lattice, nmax, _n0_form(gv, _admitted(t, gv)))
+    form = _product(lattice, nmax, (scale_e, {(0, i): c for i, c in enumerate(p0) if c}), exp)
     return TruncatedSeries._from_ints(lattice, nmax, form)
 
 
-def _n0_form(gv, classes):
-    """The int form, over D, of y sum n0(beta) q^beta over the stored
-    ``classes``, those above dmax dropped."""
+def _n0_form(gv, entries):
+    """The int form, over D, of y sum n0(beta) q^beta over the classes of
+    the gv._by_degree() ``entries``, those above dmax dropped."""
     gv.lattice.classes()  # fills _positions
-    position, scale = gv.lattice._positions, gv._n0_den()
-    return scale, {(1, position[beta]): _over(gv.n0[beta], scale)
-                   for beta in classes if beta in position}
+    position = gv.lattice._positions
+    return gv._n0_den(), {(1, position[beta]): mult for _, mult, beta in entries
+                          if beta in position}
 
 
 def wall_factor_series(t0, gv, nmax):
     """exp(y sum n0(beta) q^beta) over the stored classes on the wall
-    deg == 1/t0 (wall_classes, so t0 <= 0 raises ValueError)."""
-    form = _exp_ints(gv.lattice, nmax, _n0_form(gv, wall_classes(t0, gv)))
+    deg == 1/t0 (so t0 <= 0 raises ValueError, as nmax < 0 does)."""
+    form = _exp_ints(gv.lattice, nmax, _n0_form(gv, _on_wall(t0, gv)))
     return TruncatedSeries._from_ints(gv.lattice, nmax, form)
+
+
+def _on_wall(t0, gv):
+    """The entries of gv._by_degree() of degree 1/t0; t0 <= 0 raises
+    TParam's ValueError."""
+    threshold = TParam.exact(t0)._threshold
+    return [entry for entry in gv._by_degree() if entry[0] == threshold]
 
 
 def wall_classes(t0, gv):
     """The stored classes of degree 1/t0, sorted; t0 <= 0 raises TParam's
     ValueError."""
-    threshold = TParam.exact(t0)._threshold
-    return sorted(gamma for deg, _, gamma in gv._by_degree() if deg == threshold)
+    return sorted(gamma for _, _, gamma in _on_wall(t0, gv))
 
 
 def js_from_gv(n, beta, gv):
@@ -957,11 +966,12 @@ def wall_jump_check(t0, gv, nmax):
     A wall is simple at (n, beta) when exactly one k = 1 term is nonzero and
     every k >= 2 term vanishes.
 
-    All three run on ints.  The series identity compares int forms: with
-    the ints P of PT^+ over dp, W of the wall factor over dw and M of PT^-
-    over dm, the product W M over dw dm must have the keys of P and
-    P (dw dm) = (W M) dp on each.  The rows are compared over D^n E K_W, with K_W = dw the
-    common denominator of the wall series.  The two chambers, each its
+    All three run on ints.  The series identity is the == of PT^+ and the
+    series of the int form W M, the product of the wall factor's and
+    PT^-'s int forms (no series is multiplied): the same keys, and the ints
+    equal once cross-multiplied by the scales.  The rows are compared over
+    D^n E K_W, with K_W the common denominator of the wall series and
+    D n0(b'') read off the table's stored entries.  The two chambers, each its
     series and its table of D^n E P^t(n, beta), come from the table's
     chamber store, which keeps this call's two afterwards: a sweep over the
     walls in ascending or descending order builds each chamber once.  So
@@ -970,21 +980,19 @@ def wall_jump_check(t0, gv, nmax):
     t0 = Fraction(t0)
     lattice = gv.lattice
     plus, minus = TParam.plus(t0), TParam.minus(t0)
-    classes_on_wall = wall_classes(t0, gv)
-    scale_w, wall = _exp_ints(lattice, nmax, _n0_form(gv, classes_on_wall))
+    on_wall = _on_wall(t0, gv)
+    scale_w, wall = _exp_ints(lattice, nmax, _n0_form(gv, on_wall))
     (series_plus, g_plus), (series_minus, g_minus) = _chambers(gv, nmax, (plus, minus))
-    (scale_p, p), (scale_m, m) = series_plus._int_form(), series_minus._int_form()
-    scale_wm, wm = _product(lattice, nmax, (scale_w, wall), (scale_m, m))
-    series_ok = p.keys() == wm.keys() and all(
-        c * scale_wm == wm[key] * scale_p for key, c in p.items())
+    series_ok = series_plus == TruncatedSeries._from_ints(
+        lattice, nmax, _product(lattice, nmax, (scale_w, wall), series_minus._ints))
     # over D^n E K_W, W(k, b'') P^-(n-k, .) is D^k (K_W W(k, b'')) g^-(n-k, .)
     # and n0(b'') P^-(n-1, .) is (K_W D n0(b'')) g^-(n-1, .)
-    scale_d, scale_e = gv._n0_den(), gv._p0_den()
+    scale_d, scale_e = gv._n0_den(), gv._p0_form()[0]
     position = lattice._positions
     terms_at = _by_difference(lattice, [(i2, k, w * scale_d**k)
                                         for (k, i2), w in wall.items() if k])
-    wall_at = _by_difference(lattice, [(position[b2], _over(gv.n0[b2], scale_d) * scale_w)
-                                       for b2 in classes_on_wall if b2 in position])
+    wall_at = _by_difference(lattice, [(position[b2], mult * scale_w)
+                                       for _, mult, b2 in on_wall if b2 in position])
 
     rows = []
     all_ok = series_ok
@@ -1026,7 +1034,7 @@ def wall_jump_check(t0, gv, nmax):
                 )
     return {
         "t0": frac_str(t0),
-        "wall_classes": [list(b) for b in classes_on_wall],
+        "wall_classes": sorted(list(gamma) for _, _, gamma in on_wall),
         "series_identity_ok": series_ok,
         "coefficients": rows,
         "ok": all_ok,
@@ -1045,11 +1053,18 @@ def _by_difference(lattice, entries):
     return out
 
 
+def _slope(n, beta, lattice):
+    """n/deg(beta); a class of degree zero (the zero class) raises ValueError."""
+    if lattice.deg(beta) <= 0:
+        raise ValueError(f"wall predicates need a class of positive degree, got {beta}")
+    return Fraction(n, lattice.deg(beta))
+
+
 def no_wall_predicate(beta, n, nmin, lattice):
     """True when no wall can separate (n, beta): for every intermediate class
     0 < beta' < beta,  n/deg(beta) <= nmin(beta')/deg(beta')."""
     beta = tuple(beta)
-    slope = Fraction(n, lattice.deg(beta))
+    slope = _slope(n, beta, lattice)
     for sub in lattice.sub_classes(beta):
         if slope > Fraction(nmin(sub), lattice.deg(sub)):
             return False
@@ -1061,7 +1076,7 @@ def wall_candidates(beta, n, nmin, lattice):
     n''/deg(beta'') in (n/deg(beta), infinity) with 0 < beta'' < beta and
     nmin(beta'') <= n'' <= n - nmin(beta - beta'')."""
     beta = tuple(beta)
-    slope = Fraction(n, lattice.deg(beta))
+    slope = _slope(n, beta, lattice)
     found = set()
     for sub in lattice.sub_classes(beta):
         low = nmin(sub)

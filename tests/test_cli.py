@@ -569,6 +569,14 @@ def test_series_wallcheck_rejects_nonpositive_t0(tmp_path):
                 "--t0", "-1", "--n-max", "2"])[0] == 2
 
 
+def test_series_commands_refuse_negative_n_max(tmp_path):
+    p2 = write_local_p2(tmp_path / "p2.json")
+    for command in (["pt", "--t", "inf"], ["wallcheck", "--t0", "1"]):
+        code, out, err = run(["series", command[0], "--gv-file", str(p2), *command[1:],
+                              "--n-max", "-1"])
+        assert (code, out, err) == (2, "", "error: --n-max must be nonnegative\n"), command
+
+
 def test_series_huge_n_max_stops_at_the_top_y_degree():
     """No pair count is nonzero past n = dmax // (smallest stored degree), so
     at --n-max 10**9 pt and wallcheck finish at once: wallcheck prints what

@@ -131,6 +131,19 @@ def test_table_rejects_keys_off_its_lattice():
         TParam.infinity(), GVTable(lattice, n0={(1, 0): 1}, p0={}), 2)
 
 
+def test_table_rejects_meeting_keys_off_its_lattice():
+    lattice = ClassLattice(2, (1, 2), 4)
+    for pair, bad in ((((1,), (0, 1, 5)), (1,)), (((-1, 0), (0, 1)), (-1, 0)),
+                      (((0, 1), (0, 1, 5)), (0, 1, 5)), (((1, 0), (2, -1)), (2, -1))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad class key {bad!r}: expected a list of 2 nonnegative integers")):
+            GVTable(lattice, meeting={pair: 1})
+    # accepted meeting keys, one of them above dmax, survive the JSON round trip
+    gv = GVTable(lattice, n0={(1, 0): 1}, p0={},
+                 meeting={((1, 0), (0, 1)): Fraction(1, 2), ((5, 0), (0, 1)): 3})
+    assert GVTable.from_json(json.loads(json.dumps(gv.to_json())), dmax=4) == gv
+
+
 def test_stored_degrees_are_computed_once_per_table(monkeypatch):
     gv = GVTable(ClassLattice(2, (1, 2), 6), n0={(0, 2): 1, (1, 0): 2, (0, 1): 3, (2, 0): 1})
     heaviest = gv._by_degree()
@@ -400,6 +413,15 @@ def test_wall_predicate_requires_complete_table():
     nmin = NMinTable({(1,): 1})
     with pytest.raises(KeyError):
         no_wall_predicate((4,), 1, nmin, lattice)
+
+
+def test_wall_predicates_refuse_a_class_of_degree_zero():
+    for lattice, zero in ((LOCAL_P2_LATTICE, (0,)), (ClassLattice(2, (1, 2), 4), (0, 0))):
+        nmin = NMinTable({})
+        for predicate in (no_wall_predicate, wall_candidates):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"wall predicates need a class of positive degree, got {zero}")):
+                predicate(list(zero), 1, nmin, lattice)
 
 
 def test_no_wall_implies_no_candidates():
@@ -1209,7 +1231,7 @@ def test_series_identity_check_sees_one_wrong_coefficient(monkeypatch):
             report = wall_jump_check(t0, gv, nmax)
             assert report["series_identity_ok"] and report["ok"]
             scale_w = series_module._exp_ints(
-                gv.lattice, nmax, series_module._n0_form(gv, wall_classes(t0, gv)))[0]
+                gv.lattice, nmax, series_module._n0_form(gv, series_module._on_wall(t0, gv)))[0]
             scales_differ += (build(plus, gv, nmax)._ints[0]
                               != scale_w * build(minus, gv, nmax)._ints[0])
             keys = [(n, beta) for beta in gv.lattice.classes() for n in range(nmax + 1)]
@@ -1249,3 +1271,92 @@ def test_wall_sweep_multiplies_no_series(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "__mul__", refuse)
     assert [sweep(gv) for gv in tables] == expected
     assert sum(map(len, expected)) >= 15
+
+
+def test_wall_sweep_reads_no_series_fraction(monkeypatch):
+    rng = random.Random(320)
+    tables = [random_rank_table(rng, case % 3 + 1, None if case < 6 else 9) for case in range(12)]
+
+    def sweep(gv):
+        degrees = sorted({gv.lattice.deg(beta) for beta in gv.n0}, reverse=True)
+        return [wall_jump_check(Fraction(1, d), gv, 3) for d in degrees]
+
+    expected = [sweep(GVTable.from_json(gv.to_json(), dmax=gv.lattice.dmax)) for gv in tables]
+
+    def refuse(*args):
+        raise AssertionError("a wall check read a series coefficient as a Fraction")
+
+    monkeypatch.setattr(TruncatedSeries, "coeffs", property(refuse))
+    monkeypatch.setattr(TruncatedSeries, "coefficient", refuse)
+    assert [sweep(gv) for gv in tables] == expected
+    assert sum(map(len, expected)) >= 15
+
+
+# -- one representation: a series is its int form -------------------------------------
+
+
+def test_series_from_fractions_equals_its_int_form_over_any_scale():
+    lattice = ClassLattice(2, (1, 2), 4)
+    classes = lattice.classes()
+    i, j = classes.index((1, 0)), classes.index((0, 1))
+    third = TruncatedSeries(lattice, 2, {(1, (1, 0)): Fraction(1, 3), (0, (0, 0)): 1})
+    over_six = TruncatedSeries._from_ints(lattice, 2, (6, {(1, i): 2, (0, 0): 6}))
+    assert third._ints == (3, {(1, i): 1, (0, 0): 3})
+    assert third == over_six and over_six == third
+    assert third.coeffs == over_six.coeffs == {(1, (1, 0)): Fraction(1, 3), (0, (0, 0)): 1}
+    assert over_six.coefficient(1, (1, 0)) == over_six.coefficient(1, [1, 0]) == Fraction(1, 3)
+    # a key moved, a value changed, a key dropped or one added
+    for form in ((6, {(1, j): 2, (0, 0): 6}), (6, {(1, i): 3, (0, 0): 6}),
+                 (6, {(1, i): 2}), (6, {(1, i): 2, (0, 0): 6, (2, 0): 1})):
+        other = TruncatedSeries._from_ints(lattice, 2, form)
+        assert third != other and other != third, form
+    assert third != TruncatedSeries._from_ints(lattice, 3, (6, {(1, i): 2, (0, 0): 6}))
+    assert third != TruncatedSeries(ClassLattice(2, (1, 2), 5), 2,
+                                    {(1, (1, 0)): Fraction(1, 3), (0, (0, 0)): 1})
+    assert third != third._ints and third != 1
+
+
+def test_series_coefficient_off_the_series_is_zero():
+    lattice = ClassLattice(2, (1, 2), 4)
+    series = TruncatedSeries(lattice, 2, {(1, (1, 0)): Fraction(1, 3), (2, (0, 2)): -4})
+    assert series.coefficient(2, (0, 2)) == -4 and type(series.coefficient(2, (0, 2))) is Fraction
+    for n, beta in ((1, (1,)), (1, (1, 0, 0)), (1, ()), (1, (5, 0)), (1, (0, 3)), (1, (-1, 0)),
+                    (0, (1, 0)), (3, (1, 0)), (-1, (1, 0)), (2, (0, 1))):
+        value = series.coefficient(n, beta)
+        assert value == 0 and type(value) is Fraction, (n, beta)
+
+
+def test_series_coeffs_is_a_fresh_dict():
+    lattice = ClassLattice(2, (1, 2), 4)
+    series = TruncatedSeries(lattice, 2, {(1, (1, 0)): Fraction(1, 3), (0, (0, 0)): 1})
+    before = TruncatedSeries(lattice, 2, series.coeffs)
+    coeffs = series.coeffs
+    coeffs[(1, (1, 0))] = Fraction(5)
+    coeffs[(2, (0, 1))] = Fraction(1)
+    del coeffs[(0, (0, 0))]
+    assert series == before and series.coeffs == {(1, (1, 0)): Fraction(1, 3), (0, (0, 0)): 1}
+    assert series.coeffs is not series.coeffs
+    with pytest.raises(AttributeError):
+        series.coeffs = coeffs
+
+
+def test_negative_nmax_is_refused():
+    gv = local_p2_table()
+    lattice = gv.lattice
+    builds = {
+        "TruncatedSeries": lambda: TruncatedSeries(lattice, -1, {(0, (0,)): 1}),
+        "one": lambda: TruncatedSeries.one(lattice, -1),
+        "_exp_ints": lambda: series_module._exp_ints(lattice, -1, (1, {(1, 1): 1})),
+        "pt_series_from_gv": lambda: pt_series_from_gv(TParam.infinity(), gv, -1),
+        "wall_factor_series": lambda: wall_factor_series(Fraction(1), gv, -1),
+        "wall_jump_check": lambda: wall_jump_check(Fraction(1), gv, -1),
+    }
+    for name, build in builds.items():
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert str(refused.value) == "series truncation nmax must be nonnegative, got -1", name
+    # nmax 0 keeps the degree-zero part
+    assert wall_factor_series(Fraction(1), gv, 0) == TruncatedSeries.one(lattice, 0)
+    assert pt_series_from_gv(TParam.infinity(), gv, 0) == TruncatedSeries(
+        lattice, 0, {(0, (0,)): 1, (0, (3,)): 1})
+    assert wall_jump_check(Fraction(1), gv, 0)["ok"]
