@@ -313,8 +313,6 @@ def _parse_t(text, side):
     if text == "0+":
         return TParam.zero_plus()
     value = parse_frac(text)
-    if value <= 0:
-        raise ValueError(f"stability parameter must be positive, got {value}")
     if side == "plus":
         return TParam.plus(value)
     if side == "minus":

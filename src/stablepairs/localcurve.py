@@ -246,23 +246,22 @@ def half_obstruction_general(comp):
     ))
 
 
-def _euler_items(block):
-    """(num, den, ((form, exponent), ...)) of the Euler class of a block."""
-    euler = euler_factored(block)
-    return euler.scalar.numerator, euler.scalar.denominator, tuple(euler.forms.items())
+def _block_items(term):
+    """A cached block: (num, den, ((form, exponent), ...)) of a FactoredRatFun."""
+    return term.scalar.numerator, term.scalar.denominator, tuple(term.forms.items())
 
 
 @lru_cache(maxsize=1 << 12)
 def _part_block_factors(k, i, part):
     """One nonzero part's block: minus its first-sum block plus its last-sum
     term, between which the trivial character cancels."""
-    return _euler_items(_summed(chain(((w, -1) for w in _first_sum_block(k, i, part)),
-                                      _last_sum_characters(part))))
+    return _block_items(euler_factored(_summed(chain(
+        ((w, -1) for w in _first_sum_block(k, i, part)), _last_sum_characters(part)))))
 
 
 @lru_cache(maxsize=1 << 12)
 def _pair_block_factors(gap, di, dj):
-    return _euler_items(_summed(_pair_characters(gap, di, dj)))
+    return _block_items(euler_factored(_summed(_pair_characters(gap, di, dj))))
 
 
 def full_obstruction_general(comp, geom=GEOM_STANDARD):
@@ -285,27 +284,15 @@ def orientation_sign(comp):
     return -1 if (comp.n + comp.nonzero_parts()) % 2 else 1
 
 
-def _contribution_general(comp):
-    """Signed Euler class of the obstruction square root H(c).
-
-    The square root has virtual-negative multiplicities, so its Euler class
-    is already the required inverse product of weight forms.  H(c) splits
-    into trivial-free blocks that recur across fixed points: one per nonzero
-    part d_i at slot i, keyed (k, i, d_i), holding its first-sum characters
-    and its last-sum term 1 - t3^d_i; and one per pair of nonzero parts at
-    slots i < j, keyed (j - i, d_i, d_j).  The Euler class is multiplicative,
-    so the term is one merge of the blocks' cached Euler factors and one
-    Fraction.  A block's factors are filled once, through euler_factored,
-    which raises TrivialWeightError on a block that keeps the trivial
-    character; a raising fill is not cached.
-    """
-    parts = comp.parts
+def _merged_term(parts, num, part_block, pair_block):
+    """num times a composition's cached blocks, merged into a fresh FactoredRatFun:
+    part_block(k, i, d_i) per nonzero part, pair_block(j - i, d_i, d_j) per pair i < j."""
     k = len(parts) - 1
     nonzero = [(i, part) for i, part in enumerate(parts) if part]
-    blocks = [_part_block_factors(k, i, part) for i, part in nonzero]
-    blocks += [_pair_block_factors(j - i, di, dj)
+    blocks = [part_block(k, i, part) for i, part in nonzero]
+    blocks += [pair_block(j - i, di, dj)
                for a, (i, di) in enumerate(nonzero) for j, dj in nonzero[a + 1:]]
-    num, den, forms = orientation_sign(comp), 1, {}
+    den, forms = 1, {}
     get = forms.get
     for block_num, block_den, items in blocks:
         num *= block_num
@@ -317,6 +304,20 @@ def _contribution_general(comp):
             else:
                 del forms[form]
     return FactoredRatFun._trusted(Fraction(num, den), forms)
+
+
+def _contribution_general(comp):
+    """Signed Euler class of the obstruction square root H(c).
+
+    The square root has virtual-negative multiplicities, so its Euler class
+    is already the required inverse product of weight forms.  It is the
+    orientation sign times the merge of the Euler factors of trivial-free
+    blocks: per nonzero part, its first-sum characters and last-sum term
+    1 - t3^d_i; per pair of nonzero parts, its second-sum term.  Each block
+    is filled once through euler_factored (TrivialWeightError if trivial).
+    """
+    return _merged_term(comp.parts, orientation_sign(comp),
+                        _part_block_factors, _pair_block_factors)
 
 
 def _contribution_d1(point, geom):
@@ -398,48 +399,37 @@ def js_invariant_enumerated(n, d, geom=GEOM_STANDARD, jobs=1, audit=False):
     return _localize(n, d, geom, points, term, audit, start)
 
 
-def _closed_form_term(comp):
-    """One composition's summand of the closed product formula, prefactor
-    included, as its net factor list after two cancellations.
+@lru_cache(maxsize=1 << 12)
+def _closed_part_block(k, i, part):
+    """l3^-d_i / (d_i! prod_{j != i} (j - i) l0) / prod_{a < d_i, j != i} ((j - i) l0 + a l3)."""
+    scalar = math.factorial(part) * math.prod(j - i for j in range(k + 1) if j != i)
+    factors = [((0, 0, 0, 1), -part), ((1, 0, 0, 0), -k)]
+    factors += [((j - i, 0, 0, a), -1) for a in range(1, part) for j in range(k + 1) if j != i]
+    return _block_items(FactoredRatFun.product(Fraction(1, scalar), factors))
 
-    Write the row factors b l0 + a l3 (b <= k - i) and -b l0 + a l3 (b <= i)
-    of part d_i as (j - i) l0 + a l3 over the slots j != i.
-    * The superfactorial: prod_{i<j} (j - i) over all pairs of slots is
-      1! 2! ... k!, the prefactor, and there are k(k+1)/2 pairs, its power
-      of l0.  So each pair factor enters divided by (j - i) l0, and a pair
-      of zero parts, or of equal parts, contributes 1.
-    * Rows a = d_i: a pair of a nonzero part d_i at slot i and a zero at
-      slot j has the numerator (j - i) l0 + d_i l3 (j > i) or its negative
-      (j < i), which cancels row d_i's factor at slot j.  What is left of
-      the pair is 1 / ((j - i) l0), its sign included.
-    So for p nonzero parts the term is, with O(p k + (d - p) k) factors,
-        1 / (prod_i d_i! * l3^d * prod_{i nonzero, j zero} (j - i) l0)
-        * prod_{i<j nonzero} ((j - i) l0 + (d_i - d_j) l3) / ((j - i) l0)
-        / prod_{i nonzero} [prod_{j != i nonzero} ((j - i) l0 + d_i l3)
-                            * prod_{a < d_i, j != i} ((j - i) l0 + a l3)].
+
+@lru_cache(maxsize=1 << 12)
+def _closed_pair_block(gap, di, dj):
+    """-g l0 (g l0 + (d_i - d_j) l3) / ((g l0 + d_i l3) (-g l0 + d_j l3)), g = gap."""
+    factors = (((1, 0, 0, 0), 1), ((gap, 0, 0, di - dj), 1),
+               ((gap, 0, 0, di), -1), ((-gap, 0, 0, dj), -1))
+    return _block_items(FactoredRatFun.product(-gap, factors))
+
+
+def _closed_form_term(comp):
+    """One composition's summand of the closed product formula, merged from
+    blocks derived from the formula alone.
+
+    Write part d_i's row factors b l0 + a l3 (b <= k - i) and -b l0 + a l3
+    (b <= i) as (j - i) l0 + a l3 over the slots j != i.  The prefactor and
+    l0^-(k(k+1)/2) are prod_{i<j} 1 / ((j - i) l0) over all pairs of slots.
+    A pair of zero parts then contributes 1, and a nonzero d_i at slot i with
+    a zero at j leaves 1 / ((j - i) l0), its factor cancelling row d_i at j.
+    So a part's block assumes every other slot zero; a pair of nonzero parts
+    adds the pair factor, the rows a = d_i at j and a = d_j at i, and
+    -(j - i) l0 for the second 1 / ((i - j) l0) its part blocks took.
     """
-    parts = comp.parts
-    slots = range(len(parts))
-    den, l0 = 1, 0
-    factors = [((0, 0, 0, 1), -comp.d)]
-    for i, part in enumerate(parts):
-        if not part:
-            continue
-        den *= math.factorial(part)
-        for j, other in enumerate(parts):
-            if j == i:
-                continue
-            if other:
-                factors.append(((j - i, 0, 0, part), -1))
-                if j < i:
-                    continue  # the pair is counted at its first slot
-                factors.append(((j - i, 0, 0, part - other), 1))
-            den *= j - i
-            l0 -= 1
-        for a in range(1, part):
-            factors.extend(((j - i, 0, 0, a), -1) for j in slots if j != i)
-    factors.append(((1, 0, 0, 0), l0))
-    return FactoredRatFun.product(Fraction(1, den), factors)
+    return _merged_term(comp.parts, 1, _closed_part_block, _closed_pair_block)
 
 
 def js_invariant_closed_form(n, d, jobs=1, audit=False):
@@ -487,9 +477,9 @@ def _worker_count(jobs, items):
 
 # verify starts its row pool only for rows of at least this many fixed points
 # in all.  Jobs 1 -> 2 with the gate off, each run in a fresh process on a
-# 2-CPU machine (Python 3.11, medians of 5-9 alternated runs): verify(3,6),
-# 203 points, 0.012 -> 0.047 s; verify(6,6), 1,709 points, 0.107 -> 0.105 s;
-# verify(6,8), 6,426 points, 0.474 -> 0.427 s.
+# 2-CPU machine (Python 3.11, medians of 9 alternated runs): verify(3,6), 203
+# points, 0.009 -> 0.037 s; verify(6,6), 1,709 points, 0.055 -> 0.070 s;
+# verify(6,8), 6,426 points, 0.216 -> 0.201 s.
 _POOL_MIN_FIXED_POINTS = 3000
 
 
@@ -516,7 +506,7 @@ def _sweep_grid(d_max, ratio_max):
 
 
 def verify_conjecture(d_max, ratio_max, jobs=1, rows_done=None, on_row=None):
-    """Sweep P(n, d) for d <= d_max, n = d, 2d, ..., ratio_max*d.
+    """Sweep P(n, d) for d <= d_max, n = d, 2d, ..., ratio_max*d; bounds below 1 raise ValueError.
 
     Every value is computed by the closed formula with full simplification
     and compared against the conjectured 1/(d! l3^d) (n = d) or zero.  The
@@ -526,6 +516,9 @@ def verify_conjecture(d_max, ratio_max, jobs=1, rows_done=None, on_row=None):
     ``rows_done`` maps (n, d) to previously computed row dicts to skip;
     ``on_row`` is called with each freshly computed row dict, in order.
     """
+    for name, bound in (("d_max", d_max), ("ratio_max", ratio_max)):
+        if bound < 1:
+            raise ValueError(f"verify sweep needs {name} >= 1, got {bound}")
     grid = _sweep_grid(d_max, ratio_max)
     done = dict(rows_done or {})
     pending = [key for key in grid if key not in done]

@@ -152,6 +152,13 @@ def _bad_class_key(key, rank):
     return ValueError(f"bad class key {key!r}: expected a list of {rank} nonnegative integers")
 
 
+def _check_class_keys(rank, *tables, meeting=None):
+    """Raise _bad_class_key at a key, or meeting-key class, not of rank entries >= 0."""
+    for beta in itertools.chain(*tables, *(meeting or ())):
+        if len(beta) != rank or min(beta, default=0) < 0:
+            raise _bad_class_key(beta, rank)
+
+
 def _parse_beta(key, rank):
     """A class key: a JSON list of ``rank`` nonnegative integers."""
     values = _decode_json(key, "a class key")
@@ -388,11 +395,8 @@ class GVTable(Record):
             (tuple(b1), tuple(b2)): Fraction(v) for (b1, b2), v in meeting.items()
         }
         self.nmin = None if nmin is None else {tuple(b): int(v) for b, v in nmin.items()}
-        meeting_classes = itertools.chain.from_iterable(self.meeting or ())
-        for table in (self.n0, self.n1, self.p0 or (), self.nmin or (), meeting_classes):
-            for beta in table:
-                if len(beta) != lattice.rank or min(beta, default=0) < 0:
-                    raise _bad_class_key(beta, lattice.rank)
+        _check_class_keys(lattice.rank, self.n0, self.n1, self.p0 or (), self.nmin or (),
+                          meeting=self.meeting)
         self._n0_scale = self._degree_zero = self._heaviest = None
         self._split_cache, self._chambers = {}, {}
 
@@ -1094,12 +1098,14 @@ def wall_candidates(beta, n, nmin, lattice):
 
 def gw0_from_gv0(n0, lattice):
     """Genus-zero multiple-cover sum: GW(0, beta) = sum_{k | beta} n0(beta/k) / k^2."""
+    _check_class_keys(lattice.rank, n0)
     out = {beta: _cover_sum(beta, n0, _inverse_square) for beta in lattice.positive_classes()}
     return {beta: v for beta, v in out.items() if v}
 
 
 def gv0_from_gw(gw0, lattice):
     """Triangular inversion of the genus-zero multiple-cover sum."""
+    _check_class_keys(lattice.rank, gw0)
     n0 = {}
     for beta in lattice.positive_classes():
         total = Fraction(gw0.get(beta, 0)) - _cover_sum(beta, n0, _inverse_square, 2)
@@ -1128,6 +1134,7 @@ def gw1_assemble(n1, n0_c2, meeting, lattice):
           - 1/24 sum_beta n0_c2(beta) sum_k q^(k beta)/k
           + 1/24 sum_(b1,b2) meeting(b1,b2) sum_k q^(k(b1+b2))/k.
     """
+    _check_class_keys(lattice.rank, n1, n0_c2 or (), meeting=meeting)
     met = {}
     for (b1, b2), v in (meeting or {}).items():
         beta = _add(b1, b2)
@@ -1146,6 +1153,7 @@ def gw1_assemble(n1, n0_c2, meeting, lattice):
 def gv1_extract(gw1, n0_c2, meeting, lattice):
     """Triangular inversion of gw1_assemble: recover n1 in increasing degree,
     where sigma(1)/1 = 1 multiplies the new entry."""
+    _check_class_keys(lattice.rank, gw1)
     known = gw1_assemble({}, n0_c2, meeting, lattice)
     n1 = {}
     for beta in lattice.positive_classes():

@@ -18,6 +18,8 @@ from stablepairs.equivariant import SplitGeometry, check_square_root, euler_fact
 from stablepairs.localcurve import (
     GEOM_STANDARD,
     _closed_form_term,
+    _closed_pair_block,
+    _closed_part_block,
     _contribution_d1,
     _contribution_general,
     _first_sum_block,
@@ -338,7 +340,8 @@ def test_both_kernels_match_their_references():
 
 
 def test_kernel_terms_are_fresh_and_independent_of_the_caches():
-    caches = (_part_block_factors, _pair_block_factors, _first_sum_block, _primitive_form)
+    caches = (_part_block_factors, _pair_block_factors, _closed_part_block, _closed_pair_block,
+              _first_sum_block, _primitive_form)
     comps = [c for n, d in [(12, 3), (30, 5), (24, 6), (42, 2)]
              for c in enumerate_fixed_points(n, d)]
     for kernel, reference in KERNELS:

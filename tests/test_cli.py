@@ -507,6 +507,14 @@ def test_series_pt_on_a_wall_needs_a_side(tmp_path):
     assert code == 0
 
 
+def test_series_pt_rejects_a_nonpositive_t(tmp_path):
+    p2 = write_local_p2(tmp_path / "p2.json")
+    for t in ("0", "-1"):
+        code, out, err = run(["series", "pt", "--gv-file", str(p2), "--n-max", "2", "--t", t])
+        assert (code, out) == (2, ""), t
+        assert err == f"error: cannot read inputs: stability parameter must be positive, got {t}\n"
+
+
 def test_series_pt_builds_one_pair_count_table(tmp_path, monkeypatch):
     """A command answers every row from one chamber table, not one per query."""
     rng = random.Random(316)

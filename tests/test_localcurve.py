@@ -334,6 +334,13 @@ def test_verify_conjecture_resume_and_callback():
     assert [(r["n"], r["d"]) for r in fresh] == [(2, 1), (3, 1)]
 
 
+@pytest.mark.parametrize("d_max, ratio_max, bad", [
+    (0, 3, "d_max >= 1, got 0"), (2, 0, "ratio_max >= 1, got 0"), (-1, -1, "d_max >= 1, got -1")])
+def test_verify_conjecture_refuses_an_empty_grid(d_max, ratio_max, bad):
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        verify_conjecture(d_max, ratio_max)
+
+
 def test_jobs_give_identical_results():
     for jobs in (2, 4):
         assert (

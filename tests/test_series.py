@@ -471,6 +471,26 @@ def test_genus_one_assembly_pinned():
     assert gw1[(4,)] == Fraction(7, 4)
 
 
+def test_gw_conversions_reject_keys_off_the_lattice():
+    lattice = ClassLattice(2, (1, 2), 4)
+    calls = []
+    for beta in ((1,), (0, 1, 5), (-1, 2), (2, -1)):
+        table = {beta: 1}
+        calls += [(beta, gw0_from_gv0, (table, lattice)), (beta, gv0_from_gw, (table, lattice)),
+                  (beta, gw1_assemble, (table, {}, {}, lattice)),
+                  (beta, gw1_assemble, ({}, table, {}, lattice)),
+                  (beta, gv1_extract, (table, {}, {}, lattice)),
+                  (beta, gv1_extract, ({}, table, {}, lattice))]
+    for pair, bad in ((((1,), (0, 1, 5)), (1,)), (((-1, 0), (1, 1)), (-1, 0)),
+                      (((1, 0), (2, -1)), (2, -1))):
+        calls += [(bad, gw1_assemble, ({}, {}, {pair: 1}, lattice)),
+                  (bad, gv1_extract, ({}, {}, {pair: 1}, lattice))]
+    for bad, fn, args in calls:
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad class key {bad!r}: expected a list of 2 nonnegative integers")):
+            fn(*args)
+
+
 def test_genus_one_degree_zero_rejected():
     lattice = ClassLattice(1, (1,), 2)
     with pytest.raises(ValueError):
