@@ -38,13 +38,14 @@ the ints equal once cross-multiplied by the scales) and whose jump formula
 runs over D^n E K_W, K_W the lcm of the wall series' denominators.  A
 series truncated at nmax < 0 is refused.  The recursion has one
 form: a table of every D^n E P^t(n, beta) of a chamber, filled level by
-level in n as far as asked.  pt_coeff_from_gv keeps it in its caller's
-memo, and a wall check keeps the two chambers of its wall, series and
-table, on the GVTable, so a sweep over the walls builds each chamber once;
-a GVTable is immutable once used.  Every multiple-cover sum (the genus-zero
-and genus-one Gromov-Witten forms and the log series of a synthesized
-degree-zero part) is one sum over the divisors k of a class, weighted by
-1/k^2, sigma(k)/k, 1/k or logM_k.
+level in n as far as asked, which reads beta - gamma off the addition
+table, as the wall check's jump formula does.  pt_coeff_from_gv keeps it
+in its caller's memo, and a wall check keeps the two chambers of its wall,
+series and table, on the GVTable, so a sweep over the walls builds each
+chamber once; a GVTable is immutable once used.  Every multiple-cover sum
+(the genus-zero and genus-one Gromov-Witten forms and the log series of a
+synthesized degree-zero part) is one sum over the divisors k of a class,
+weighted by 1/k^2, sigma(k)/k, 1/k or logM_k.
 Wall checks, wall predicates and the Gromov-Witten conversions live here too.
 """
 from __future__ import annotations
@@ -152,21 +153,22 @@ def _bad_class_key(key, rank):
     return ValueError(f"bad class key {key!r}: expected a list of {rank} nonnegative integers")
 
 
+def _is_class(beta, rank):
+    """Whether beta holds rank ints >= 0 (a bool or a float is no int here)."""
+    return len(beta) == rank and all(type(b) is int and b >= 0 for b in beta)
+
+
 def _check_class_keys(rank, *tables, meeting=None):
-    """Raise _bad_class_key at a key, or meeting-key class, not of rank entries >= 0."""
+    """Raise _bad_class_key at a key, or meeting-key class, not of rank ints >= 0."""
     for beta in itertools.chain(*tables, *(meeting or ())):
-        if len(beta) != rank or min(beta, default=0) < 0:
+        if not _is_class(beta, rank):
             raise _bad_class_key(beta, rank)
 
 
 def _parse_beta(key, rank):
     """A class key: a JSON list of ``rank`` nonnegative integers."""
     values = _decode_json(key, "a class key")
-    if (
-        not isinstance(values, list)
-        or len(values) != rank
-        or not all(type(v) is int and v >= 0 for v in values)
-    ):
+    if not isinstance(values, list) or not _is_class(values, rank):
         raise _bad_class_key(key, rank)
     return tuple(values)
 
@@ -368,19 +370,19 @@ class GVTable(Record):
     n0 denominators), the degree-zero form (E, [E P(0, beta_i)] by class
     position, E the lcm of the P(0, beta) denominators, explicit or
     synthesized: level 0 of every pair-count table and the degree-zero
-    factor of every chamber series), the stored classes heaviest first with
-    their degree and D n0, and the split table of the pair-count tables (for
-    each class beta, the stored classes gamma <= beta with their degree,
-    D n0(gamma) and beta - gamma, in that order) are built on first use and
-    kept.  So is the chamber store of wall_jump_check: the series and
-    pair-count table of the last check's two chambers, keyed by nmax and the
-    lowest stored degree the chamber admits.  None of them takes part in
-    equality; p0_value builds a Fraction from the degree-zero form when it
-    is read.
+    factor of every chamber series) and the stored classes heaviest first
+    with their degree and D n0 (a chamber admits a prefix of them, and its
+    pair-count table reads beta - gamma for them off the lattice's addition
+    table) are built on first use and kept.  So is the chamber store of
+    wall_jump_check: the series and pair-count table of the last check's
+    two chambers, keyed by nmax and the number of stored classes the
+    chamber admits.  None of them takes part in equality; p0_value builds a
+    Fraction from the degree-zero form when it is read.
 
     A class key of n0, n1, p0 or nmin, and either class of a meeting key,
-    must have rank entries, none negative (ValueError otherwise); classes
-    above dmax are kept and the series drop them.
+    must have rank entries, each an int >= 0 (ValueError otherwise; a bool
+    or a float is refused); classes above dmax are kept and the series drop
+    them.
     """
 
     _fields = ("lattice", "n0", "n1", "p0", "meeting", "nmin")
@@ -398,7 +400,7 @@ class GVTable(Record):
         _check_class_keys(lattice.rank, self.n0, self.n1, self.p0 or (), self.nmin or (),
                           meeting=self.meeting)
         self._n0_scale = self._degree_zero = self._heaviest = None
-        self._split_cache, self._chambers = {}, {}
+        self._chambers = {}
 
     # -- degree-zero pair counts ----------------------------------------------
 
@@ -454,16 +456,6 @@ class GVTable(Record):
                 ((deg(gamma), _over(mult, scale), gamma) for gamma, mult in self.n0.items()),
                 key=lambda split: -split[0])
         return self._heaviest
-
-    def _splits(self, beta):
-        """[(deg gamma, D n0(gamma), beta - gamma)] over the stored classes
-        gamma <= beta, heaviest first: every chamber admits a prefix of it."""
-        splits = self._split_cache.get(beta)
-        if splits is None:
-            splits = [(deg, mult, rest) for deg, mult, gamma in self._by_degree()
-                      if (rest := _rest(beta, gamma)) is not None]
-            self._split_cache[beta] = splits
-        return splits
 
     # -- JSON ----------------------------------------------------------------------
 
@@ -609,8 +601,8 @@ def _check_nmax(nmax):
 class TruncatedSeries:
     """Series in y (order <= nmax) and q^beta (degree <= lattice.dmax), built
     from nonzero coefficients keyed by (n, beta).  Keys past the truncation
-    are dropped; a class key of another length or with a negative entry, or
-    nmax < 0, raises ValueError.
+    are dropped; a class key of another length or with an entry that is no
+    int >= 0, or nmax < 0, raises ValueError.
 
     A series is a value, not changed once built, held as its int form
     _ints alone: (scale, {(n, position of beta): int}), the nonzero
@@ -627,7 +619,7 @@ class TruncatedSeries:
         position, clean = lattice._positions, {}
         for (n, beta), c in (coeffs or {}).items():
             beta = tuple(beta)
-            if len(beta) != lattice.rank or min(beta, default=0) < 0:
+            if not _is_class(beta, lattice.rank):
                 raise _not_a_class(beta, lattice)
             if (c := Fraction(c)) and 0 <= n <= nmax and beta in position:
                 clean[(n, position[beta])] = c
@@ -792,22 +784,24 @@ def pt_coeff_from_gv(t, n, beta, gv, memo=None):
     f(n, beta) = sum over stored classes gamma with n0 != 0, gamma <= beta,
     and t admitting deg(gamma), of n0(gamma) * f(n-1, beta - gamma);
     f(0, beta) = P(0, beta).  It is read from the pair-count table of t's
-    chamber, which ``memo`` keeps under t, filled only as far as the largest
-    n asked: a sweep with one memo builds one table.  An exact t reads the
-    table of its minus side, and raises WallError for n >= 1 when a stored
-    class on its wall fits in beta.  0 for n < 0 or a negative entry; any
-    other tuple that is no class of the lattice raises ValueError.
+    chamber, which ``memo`` keeps under t beside the GVTable it was built
+    from, filled only as far as the largest n asked: a sweep with one memo
+    builds one table, and an entry built from another GVTable (compared
+    with ``is``) is rebuilt.  An exact t reads the table of its minus side,
+    and raises WallError for n >= 1 when a stored class on its wall fits in
+    beta.  0 for n < 0 or a negative entry; any other tuple that is no class
+    of the lattice raises ValueError.
     """
     beta = tuple(beta)
     if n < 0 or min(beta, default=0) < 0:
         return _FRACTION_ZERO
     memo = {} if memo is None else memo
-    if t not in memo:
+    if t not in memo or memo[t][0] is not gv:
         if t.kind == "finite" and not t.side:
-            memo[t] = (wall_classes(t.value, gv), _pair_counts(TParam.minus(t.value), gv))
+            memo[t] = (gv, wall_classes(t.value, gv), _pair_counts(TParam.minus(t.value), gv))
         else:
-            memo[t] = ((), _pair_counts(t, gv))
-    wall, table = memo[t]
+            memo[t] = (gv, (), _pair_counts(t, gv))
+    _, wall, table = memo[t]
     try:
         i = gv.lattice._positions[beta]
     except KeyError:
@@ -828,19 +822,15 @@ def _pair_counts(t, gv):
     i-th class of the lattice.  g holds level 0, g[0][i] = E P(0, beta_i),
     and _fill appends the levels up to top = dmax // (the smallest stored
     class degree), above which every pair count of the lattice is 0.  Level
-    n sums a_gamma g[n-1][position of beta_i - gamma] over prefixes[i], the
-    prefix of the split list of beta_i that t admits, cut once per table."""
+    n sums a_gamma g[n-1][j] over prefixes[i], the list [(a_gamma, j)] over
+    the stored classes gamma <= beta_i that t admits, heaviest first, with
+    a_gamma = D n0(gamma) and beta_j = beta_i - gamma: one _by_difference
+    call reads them off the lattice's addition table."""
     lattice = gv.lattice
-    classes = lattice.classes()
-    position, admits = lattice._positions, t.admits
-    prefixes = []
-    for beta in classes:
-        prefix = []
-        for deg, mult, rest in gv._splits(beta):
-            if not admits(deg):
-                break
-            prefix.append((mult, position[rest]))
-        prefixes.append(prefix)
+    lattice.classes()  # fills _positions
+    position = lattice._positions
+    prefixes = _by_difference(lattice, [(position[gamma], mult) for _, mult, gamma
+                                        in _admitted(t, gv) if gamma in position])
     return prefixes, [gv._p0_form()[1]], _top_n(gv, lattice.dmax)
 
 
@@ -932,21 +922,15 @@ def _admitted(t, gv):
     return heaviest
 
 
-def _lowest_admitted(t, gv):
-    """The smallest stored degree that t admits, or None: t admits exactly
-    the stored classes of at least that degree, so it names the chamber."""
-    admitted = _admitted(t, gv)
-    return admitted[-1][0] if admitted else None
-
-
 def _chambers(gv, nmax, sides):
     """[(chamber series, pair counts g)] for the parameters ``sides``, from
     the table's store, g filled through _top_n(gv, nmax).  An entry is keyed
-    by nmax and the chamber's lowest admitted degree, so adjacent walls
-    share the chamber between them; a missing one is built, and afterwards
-    the store keeps only the entries of ``sides``."""
+    by nmax and the number of stored classes the chamber admits (a prefix of
+    them, heaviest first, so the count names the chamber), and adjacent
+    walls share the chamber between them; a missing one is built, and
+    afterwards the store keeps only the entries of ``sides``."""
     store = gv._chambers
-    keys = [(nmax, _lowest_admitted(t, gv)) for t in sides]
+    keys = [(nmax, len(_admitted(t, gv))) for t in sides]
     for t, key in zip(sides, keys):
         if key not in store:
             store[key] = (pt_series_from_gv(t, gv, nmax), _pair_counts(t, gv))

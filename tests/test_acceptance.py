@@ -291,7 +291,7 @@ def reference_closed_form_term(comp):
     """The closed formula's summand with every factor as written: the
     superfactorial prefactor, l0^-(k(k+1)/2), all k(k+1)/2 pair factors and
     every (a, b) row factor of every part.  The reference for
-    _closed_form_term's cancelled factor list."""
+    _closed_form_term, which merges cached part and pair blocks."""
     parts = comp.parts
     k = comp.k
     scalar = 1

@@ -110,7 +110,7 @@ def test_caches_stay_out_of_equality_and_repr():
     used, fresh = gv_table(), gv_table()
     pt_coeff_from_gv(TParam.infinity(), 1, (1, 1), used)
     wall_jump_check(1, used, 2)
-    assert used._split_cache and used._chambers and used._heaviest
+    assert used._chambers and used._heaviest
     assert used == fresh and repr(used) == repr(fresh)
     assert TParam.plus(Fraction(1, 2))._threshold == 2
     assert repr(TParam.plus(Fraction(1, 3))) == (

@@ -32,9 +32,9 @@ from stablepairs.series import (
     wall_classes,
     wall_factor_series,
     wall_jump_check,
+    _chambers,
     _exp,
     _fill,
-    _lowest_admitted,
     _pair_counts,
     _top_n,
 )
@@ -122,8 +122,9 @@ def test_table_rejects_keys_off_its_lattice():
             "bad class key (1,): expected a list of 2 nonnegative integers")):
         GVTable(lattice, n0={(1,): 1, (-1, 2): 3}, p0={})
     for name in ("n0", "n1", "p0", "nmin"):
-        for beta in ((1, 0, 0), (-1, 2), (2, -1)):
-            with pytest.raises(ValueError, match="bad class key"):
+        for beta in ((1, 0, 0), (-1, 2), (2, -1), (1.5, 0), (1.0, 0), (True, 0), (0, False)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"bad class key {beta!r}: expected a list of 2 nonnegative integers")):
                 GVTable(lattice, **{name: {beta: 1}})
     # classes above dmax stay allowed, and the series drop them
     gv = GVTable(lattice, n0={(1, 0): 1, (5, 0): 2}, p0={})
@@ -134,7 +135,8 @@ def test_table_rejects_keys_off_its_lattice():
 def test_table_rejects_meeting_keys_off_its_lattice():
     lattice = ClassLattice(2, (1, 2), 4)
     for pair, bad in ((((1,), (0, 1, 5)), (1,)), (((-1, 0), (0, 1)), (-1, 0)),
-                      (((0, 1), (0, 1, 5)), (0, 1, 5)), (((1, 0), (2, -1)), (2, -1))):
+                      (((0, 1), (0, 1, 5)), (0, 1, 5)), (((1, 0), (2, -1)), (2, -1)),
+                      (((1, 0), (0, 1.5)), (0, 1.5)), (((True, 0), (0, 1)), (True, 0))):
         with pytest.raises(ValueError, match=re.escape(
                 f"bad class key {bad!r}: expected a list of 2 nonnegative integers")):
             GVTable(lattice, meeting={pair: 1})
@@ -157,10 +159,15 @@ def test_stored_degrees_are_computed_once_per_table(monkeypatch):
     assert _top_n(GVTable(gv.lattice), 9) == 0
     assert wall_classes(Fraction(1, 2), gv) == [(0, 1), (2, 0)]
     assert wall_classes(Fraction(1, 3), gv) == []
-    assert _lowest_admitted(TParam.plus(Fraction(1, 2)), gv) == 2
-    assert _lowest_admitted(TParam.minus(Fraction(1, 2)), gv) == 4
-    assert _lowest_admitted(TParam.zero_plus(), gv) is None
-    assert _lowest_admitted(TParam.infinity(), gv) == 1
+    assert gv._by_degree() is heaviest
+    # the chamber store is keyed by nmax and the number of stored classes
+    # admitted; the chambers' series compute degrees of their own
+    monkeypatch.undo()
+    for t0, keys in ((Fraction(1, 2), {(2, 3), (2, 1)}), (1, {(2, 4), (2, 3)})):
+        wall_jump_check(t0, gv, 2)
+        assert set(gv._chambers) == keys
+    _chambers(gv, 3, (TParam.zero_plus(), TParam.infinity()))
+    assert set(gv._chambers) == {(3, 0), (3, 4)}
     assert gv._by_degree() is heaviest
 
 
@@ -474,7 +481,7 @@ def test_genus_one_assembly_pinned():
 def test_gw_conversions_reject_keys_off_the_lattice():
     lattice = ClassLattice(2, (1, 2), 4)
     calls = []
-    for beta in ((1,), (0, 1, 5), (-1, 2), (2, -1)):
+    for beta in ((1,), (0, 1, 5), (-1, 2), (2, -1), (1.5, 0), (1.0, 0), (0, True)):
         table = {beta: 1}
         calls += [(beta, gw0_from_gv0, (table, lattice)), (beta, gv0_from_gw, (table, lattice)),
                   (beta, gw1_assemble, (table, {}, {}, lattice)),
@@ -482,7 +489,7 @@ def test_gw_conversions_reject_keys_off_the_lattice():
                   (beta, gv1_extract, (table, {}, {}, lattice)),
                   (beta, gv1_extract, ({}, table, {}, lattice))]
     for pair, bad in ((((1,), (0, 1, 5)), (1,)), (((-1, 0), (1, 1)), (-1, 0)),
-                      (((1, 0), (2, -1)), (2, -1))):
+                      (((1, 0), (2, -1)), (2, -1)), (((1, 0), (0.5, 1)), (0.5, 1))):
         calls += [(bad, gw1_assemble, ({}, {}, {pair: 1}, lattice)),
                   (bad, gv1_extract, ({}, {}, {pair: 1}, lattice))]
     for bad, fn, args in calls:
@@ -1043,7 +1050,7 @@ def test_tuples_off_the_lattice_are_refused():
             js_from_gv(5, (5, 1), gv)
 
 
-def test_wall_sweep_keeps_only_the_split_table():
+def test_wall_sweep_keeps_two_chambers_and_no_new_field():
     rng = random.Random(312)
     for case in range(9):
         gv = random_rank_table(rng, case % 3 + 1)
@@ -1052,9 +1059,7 @@ def test_wall_sweep_keeps_only_the_split_table():
         for d in sorted({gv.lattice.deg(beta) for beta in gv.n0}, reverse=True):
             assert wall_jump_check(Fraction(1, d), gv, 3)["ok"]
             assert len(gv._chambers) <= 2
-        classes = set(gv.lattice.classes())
         assert set(vars(gv)) == fields
-        assert set(gv._split_cache) <= classes
         assert fresh == gv
 
 
@@ -1147,7 +1152,7 @@ def test_one_memo_answers_as_cold_queries_do(monkeypatch):
             cold[query] = answer(query, gv, memo)
             # a cold query at n fills no level above n
             t, n = query[:2]
-            assert len(memo[t][1][1]) <= n + 1, query
+            assert len(memo[t][2][1]) <= n + 1, query
         descending = sorted(queries, key=lambda query: -query[1])
         ascending = sorted(queries, key=lambda query: query[1])
         interleaved = rng.sample(queries, len(queries))
@@ -1158,13 +1163,36 @@ def test_one_memo_answers_as_cold_queries_do(monkeypatch):
             assert [answer(query, gv, memo) for query in order] == [cold[q] for q in order]
             # one table per parameter, and each of its levels filled once
             assert len(built) == len(set(params)) == len(memo)
-            assert sum(levels) == sum(len(table[1]) - 1 for _, table in memo.values())
+            assert sum(levels) == sum(len(table[1]) - 1 for _, _, table in memo.values())
+
+
+def test_a_memo_shared_by_two_tables_answers_for_each():
+    lattice = ClassLattice(1, (1,), 4)
+    one, five = (GVTable(lattice, n0={(1,): v}, p0={}) for v in (1, 5))
+    small = GVTable(ClassLattice(1, (1,), 2), n0={(1,): 1}, p0={})
+    for t in (TParam.infinity(), TParam.exact(2), TParam.plus(1)):
+        memo = {}
+        assert pt_coeff_from_gv(t, 1, (1,), one, memo) == 1
+        assert pt_coeff_from_gv(t, 1, (1,), five, memo) == 5
+        assert pt_coeff_from_gv(t, 2, (2,), one, memo) == 1
+        assert memo[t][0] is one
+        # a table of a smaller lattice first, then a class only the larger one holds
+        assert pt_coeff_from_gv(t, 1, (2,), small, memo) == 0
+        assert pt_coeff_from_gv(t, 3, (3,), one, memo) == 1
+        assert pt_coeff_from_gv(t, 2, (3,), five, memo) == 0
+        assert pt_coeff_from_gv(t, 3, (3,), five, memo) == 125
+    # an equal table is still another table: its entry is rebuilt, with the same counts
+    memo = {}
+    twin = GVTable(lattice, n0={(1,): 1}, p0={})
+    pt_coeff_from_gv(TParam.infinity(), 1, (1,), one, memo)
+    assert pt_coeff_from_gv(TParam.infinity(), 4, (4,), twin, memo) == 1
+    assert memo[TParam.infinity()][0] is twin
 
 
 # -- the int domain of the series kernels -----------------------------------------------
 
 
-def test_split_lists_sort_the_stored_classes_once(monkeypatch):
+def test_pair_count_lists_sort_the_stored_classes_once(monkeypatch):
     rng = random.Random(316)
     sorts = []
     monkeypatch.setattr(series_module, "sorted",
@@ -1176,17 +1204,25 @@ def test_split_lists_sort_the_stored_classes_once(monkeypatch):
         gv = random_rank_table(rng, rank, None if case < 18 else 9)
         classes = gv.lattice.classes()
         deg, scale = gv.lattice.deg, common_den(gv.n0.values())
+        gv._p0_form()  # level 0 of every table, a series of its own
         sorts.clear()
-        for beta in classes:
-            # the stored classes inside beta, sorted on their own
-            inside = [(gamma, mult) for gamma, mult in gv.n0.items()
-                      if min(b - g for b, g in zip(beta, gamma)) >= 0]
-            expected = [(deg(gamma), mult * scale, tuple(b - g for b, g in zip(beta, gamma)))
-                        for gamma, mult in sorted(inside, key=lambda item: -deg(item[0]))]
-            splits = gv._splits(beta)
-            assert splits == expected, (case, beta)
-            assert all(type(mult) is int for _, mult, _ in splits)
-        assert len(sorts) == 1, case  # one sort per table, not one per class
+        walls = sorted({deg(gamma) for gamma in gv.n0})
+        sides = [TParam.infinity(), TParam.zero_plus()]
+        sides += [side(Fraction(1, d)) for d in walls for side in (TParam.plus, TParam.minus)]
+        # the stored classes sorted on their own, heaviest first
+        heaviest = sorted(gv.n0.items(), key=lambda item: -deg(item[0]))
+        for t in sides:
+            admitted = [(gamma, mult) for gamma, mult in heaviest
+                        if reference_admits(t, deg(gamma))]
+            prefixes = _pair_counts(t, gv)[0]
+            assert len(prefixes) == len(classes)
+            for beta, prefix in zip(classes, prefixes):
+                rests = [(mult * scale, tuple(b - g for b, g in zip(beta, gamma)))
+                         for gamma, mult in admitted]
+                expected = [(mult, classes.index(rest)) for mult, rest in rests if min(rest) >= 0]
+                assert prefix == expected, (case, t, beta)
+                assert all(type(mult) is int for mult, _ in prefix)
+        assert len(sorts) == 1, case  # one sort per table, not one per class or chamber
         ranks.add(rank)
     assert ranks == {1, 2, 3}
 
@@ -1194,7 +1230,7 @@ def test_split_lists_sort_the_stored_classes_once(monkeypatch):
 def test_series_keys_off_the_lattice_are_refused():
     lattice = ClassLattice(2, (1, 2), 4)
     gv = GVTable(lattice, n0={(1, 0): 1}, p0={})
-    for beta in ((-1, 0), (2, -1), (1,), (0, 1, 0)):
+    for beta in ((-1, 0), (2, -1), (1,), (0, 1, 0), (1.5, 0), (1.0, 0), (True, 0)):
         message = f"{beta} is not a class of the lattice of rank 2 and degree at most 4"
         with pytest.raises(ValueError, match=re.escape(message)):
             _exp(TruncatedSeries(lattice, 3, {(1, beta): 1}))
