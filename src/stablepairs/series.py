@@ -47,6 +47,14 @@ chamber once; a GVTable is immutable once used.  Every multiple-cover sum
 synthesized degree-zero part) is one sum over the divisors k of a class,
 weighted by 1/k^2, sigma(k)/k, 1/k or logM_k.
 Wall checks, wall predicates and the Gromov-Witten conversions live here too.
+
+A class is a tuple of rank ints >= 0 (a bool or a float is no int here), and
+every builder and every read that takes one passes it through one gate,
+ClassLattice._position: any other key raises ValueError.  A class above
+dmax is kept by the tables and dropped by TruncatedSeries; coefficient reads
+0 there (the series is truncated), pt_coeff_from_gv and a synthesized
+p0_value raise ValueError (the value is not computed), and an explicit
+p0_value, js_from_gv and the wall predicates compute it.
 """
 from __future__ import annotations
 
@@ -245,10 +253,13 @@ def _bounded_lattice(rank, omega, dmax, classes):
 class ClassLattice(FrozenRecord):
     """Effective classes: tuples in Z^rank with degree omega . beta <= dmax.
 
-    classes() sorts them once by degree and keeps them outside equality, as
-    the map _positions of each class to its position among them.  The
-    series kernels key classes by position and add them through _sums, the
-    addition table built on first use by _sum_table: row i holds the
+    rank, dmax and the entries of omega must be ints (ValueError otherwise;
+    a bool is refused).  The classes are listed once, when the lattice is
+    built, sorted by degree and kept outside equality as the map _positions
+    of each class to its position among them.  _position is the one gate
+    of a class read: a key that is no class of the rank raises ValueError.
+    The series kernels key classes by position and add them through _sums,
+    the addition table built on first use by _sum_table: row i holds the
     positions of beta_i + beta_j for the j with deg beta_i + deg beta_j <=
     dmax, a prefix of the classes because positions ascend in degree.  So
     it holds one entry per pair of classes whose degrees sum to at most
@@ -257,14 +268,20 @@ class ClassLattice(FrozenRecord):
     _fields = ("rank", "omega", "dmax")
 
     def __init__(self, rank: int, omega: tuple, dmax: int):
-        omega = tuple(int(w) for w in omega)
+        omega = tuple(omega)
+        if not all(type(x) is int for x in (rank, dmax, *omega)):
+            raise ValueError(f"rank, the entries of omega and dmax must be ints, "
+                             f"got {rank!r}, {omega!r} and {dmax!r}")
         if len(omega) != rank:
             raise ValueError("omega length must equal the rank")
         if any(w <= 0 for w in omega):
             raise ValueError("degree vector omega must be strictly positive")
         if dmax < 0:
             raise ValueError("dmax must be nonnegative")
-        self.__dict__.update(rank=rank, omega=omega, dmax=dmax, _positions=None, _sums=None)
+        self.__dict__.update(rank=rank, omega=omega, dmax=dmax, _sums=None)
+        box = itertools.product(*(range(dmax // w + 1) for w in omega))
+        classes = sorted((b for b in box if self.deg(b) <= dmax), key=lambda b: (self.deg(b), b))
+        self.__dict__["_positions"] = {b: i for i, b in enumerate(classes)}
 
     def deg(self, beta):
         return sum(map(operator.mul, self.omega, beta))
@@ -274,14 +291,16 @@ class ClassLattice(FrozenRecord):
 
     def classes(self):
         """All effective classes of degree <= dmax (zero included), sorted by
-        (degree, tuple); a new list on each call.  The first call fills
-        _positions, {class: position in that list}."""
-        if self._positions is None:
-            box = itertools.product(*(range(self.dmax // w + 1) for w in self.omega))
-            object.__setattr__(self, "_positions", {b: i for i, b in enumerate(sorted(
-                (b for b in box if self.deg(b) <= self.dmax), key=lambda b: (self.deg(b), b)
-            ))})
+        (degree, tuple); a new list on each call."""
         return list(self._positions)
+
+    def _position(self, beta):
+        """The position of the class beta among classes(), None above dmax;
+        _not_a_class's ValueError unless beta holds rank ints >= 0."""
+        beta = tuple(beta)
+        if not _is_class(beta, self.rank):
+            raise _not_a_class(beta, self)
+        return self._positions.get(beta)
 
     def _sum_table(self):
         """_sums, the positions of the sums of classes (see the class)."""
@@ -300,7 +319,9 @@ class ClassLattice(FrozenRecord):
         return [b for b in self.classes() if any(b)]
 
     def sub_classes(self, beta):
-        """Classes 0 < beta' < beta (componentwise, both ends strict)."""
+        """Classes 0 < beta' < beta (componentwise, both ends strict); a key
+        that is no class raises ValueError, a class above dmax is taken."""
+        self._position(beta)
         beta = tuple(beta)
         box = itertools.product(*(range(b + 1) for b in beta))
         return sorted(
@@ -315,7 +336,8 @@ def _rest(beta, gamma):
 
 
 def _not_a_class(beta, lattice):
-    """The ValueError for a tuple of another length or above the top degree."""
+    """The ValueError for a key that is no class of the lattice, or a class
+    above its top degree where a value is not computed."""
     return ValueError(f"{beta} is not a class of the lattice of rank {lattice.rank} "
                       f"and degree at most {lattice.dmax}")
 
@@ -382,7 +404,8 @@ class GVTable(Record):
     A class key of n0, n1, p0 or nmin, and either class of a meeting key,
     must have rank entries, each an int >= 0 (ValueError otherwise; a bool
     or a float is refused); classes above dmax are kept and the series drop
-    them.
+    them.  _by_degree takes each stored class's position once, through the
+    lattice's gate.
     """
 
     _fields = ("lattice", "n0", "n1", "p0", "meeting", "nmin")
@@ -405,18 +428,17 @@ class GVTable(Record):
     # -- degree-zero pair counts ----------------------------------------------
 
     def p0_value(self, beta):
-        """P(0, beta).  A synthesized p0 is known only on the lattice: a tuple
-        off it without a negative entry raises ValueError."""
+        """P(0, beta).  A key that is no class raises ValueError, and so does
+        a class above dmax when p0 is synthesized: it is not computed there.
+        An explicit p0 is read at any class."""
         beta = tuple(beta)
+        i = self.lattice._position(beta)
         if self.p0 is not None:
-            if beta in self.p0:
-                return self.p0[beta]
-            return _FRACTION_ZERO if any(beta) else _FRACTION_ONE
-        scale, ints = self._p0_form()  # lists the lattice's classes, and so its _positions
-        i = self.lattice._positions.get(beta)
-        if i is None and min(beta, default=0) >= 0:
+            return self.p0.get(beta, _FRACTION_ZERO if any(beta) else _FRACTION_ONE)
+        if i is None:
             raise _not_a_class(beta, self.lattice)
-        return _FRACTION_ZERO if i is None else Fraction(ints[i], scale)
+        scale, ints = self._p0_form()
+        return Fraction(ints[i], scale)
 
     def _p0_form(self):
         """_degree_zero, (E, [E P(0, beta_i)] over the lattice's classes by
@@ -446,15 +468,17 @@ class GVTable(Record):
         return self._n0_scale
 
     def _by_degree(self):
-        """_heaviest, [(deg gamma, D n0(gamma), gamma)] over the stored
-        classes gamma, heaviest first, the middle entry an int: the stored
-        classes are sorted and their degrees computed once per table."""
+        """_heaviest, [(deg gamma, D n0(gamma), gamma, i)] over the stored
+        classes gamma, heaviest first, D n0(gamma) an int and i the position
+        of gamma, None above dmax: the stored classes are sorted, and their
+        degrees and positions computed, once per table."""
         if self._heaviest is None:
             _refuse_degree_zero("n0", self.n0, self.lattice)
-            deg, scale = self.lattice.deg, self._n0_den()
+            lattice, scale = self.lattice, self._n0_den()
             self._heaviest = sorted(
-                ((deg(gamma), _over(mult, scale), gamma) for gamma, mult in self.n0.items()),
-                key=lambda split: -split[0])
+                ((lattice.deg(gamma), _over(mult, scale), gamma, lattice._position(gamma))
+                 for gamma, mult in self.n0.items()),
+                key=lambda entry: -entry[0])
         return self._heaviest
 
     # -- JSON ----------------------------------------------------------------------
@@ -601,8 +625,8 @@ def _check_nmax(nmax):
 class TruncatedSeries:
     """Series in y (order <= nmax) and q^beta (degree <= lattice.dmax), built
     from nonzero coefficients keyed by (n, beta).  Keys past the truncation
-    are dropped; a class key of another length or with an entry that is no
-    int >= 0, or nmax < 0, raises ValueError.
+    are dropped, a class above dmax among them; a key that is no class of
+    the lattice (ClassLattice._position), or nmax < 0, raises ValueError.
 
     A series is a value, not changed once built, held as its int form
     _ints alone: (scale, {(n, position of beta): int}), the nonzero
@@ -615,14 +639,11 @@ class TruncatedSeries:
 
     def __init__(self, lattice, nmax, coeffs=None):
         _check_nmax(nmax)
-        lattice.classes()  # fills _positions
-        position, clean = lattice._positions, {}
+        clean = {}
         for (n, beta), c in (coeffs or {}).items():
-            beta = tuple(beta)
-            if not _is_class(beta, lattice.rank):
-                raise _not_a_class(beta, lattice)
-            if (c := Fraction(c)) and 0 <= n <= nmax and beta in position:
-                clean[(n, position[beta])] = c
+            i = lattice._position(beta)
+            if (c := Fraction(c)) and 0 <= n <= nmax and i is not None:
+                clean[(n, i)] = c
         scale = _common_den(clean.values())
         self.lattice, self.nmax = lattice, nmax
         self._ints = scale, {key: _over(c, scale) for key, c in clean.items()}
@@ -646,10 +667,11 @@ class TruncatedSeries:
         return {(n, classes[i]): Fraction(c, scale) for (n, i), c in ints.items()}
 
     def coefficient(self, n, beta):
-        """The coefficient of y^n q^beta, a Fraction; 0 for a key the series
-        does not hold, a tuple off the lattice among them."""
+        """The coefficient of y^n q^beta, a Fraction: 0 for a key the series
+        does not hold, a class above dmax among them (the series is truncated
+        there); a key that is no class raises ValueError."""
         scale, ints = self._ints
-        c = ints.get((n, self.lattice._positions.get(tuple(beta))))
+        c = ints.get((n, self.lattice._position(beta)))
         return Fraction(c, scale) if c else _FRACTION_ZERO
 
     def __eq__(self, other):
@@ -789,11 +811,14 @@ def pt_coeff_from_gv(t, n, beta, gv, memo=None):
     builds one table, and an entry built from another GVTable (compared
     with ``is``) is rebuilt.  An exact t reads the table of its minus side,
     and raises WallError for n >= 1 when a stored class on its wall fits in
-    beta.  0 for n < 0 or a negative entry; any other tuple that is no class
-    of the lattice raises ValueError.
+    beta.  A key that is no class, or a class above dmax (no value is
+    computed there), raises ValueError; 0 for n < 0.
     """
     beta = tuple(beta)
-    if n < 0 or min(beta, default=0) < 0:
+    i = gv.lattice._position(beta)
+    if i is None:
+        raise _not_a_class(beta, gv.lattice)
+    if n < 0:
         return _FRACTION_ZERO
     memo = {} if memo is None else memo
     if t not in memo or memo[t][0] is not gv:
@@ -802,10 +827,6 @@ def pt_coeff_from_gv(t, n, beta, gv, memo=None):
         else:
             memo[t] = (gv, (), _pair_counts(t, gv))
     _, wall, table = memo[t]
-    try:
-        i = gv.lattice._positions[beta]
-    except KeyError:
-        raise _not_a_class(beta, gv.lattice) from None
     for gamma in wall:
         if n and _rest(beta, gamma) is not None:
             t.admits(gv.lattice.deg(gamma))  # raises the WallError
@@ -827,10 +848,8 @@ def _pair_counts(t, gv):
     a_gamma = D n0(gamma) and beta_j = beta_i - gamma: one _by_difference
     call reads them off the lattice's addition table."""
     lattice = gv.lattice
-    lattice.classes()  # fills _positions
-    position = lattice._positions
-    prefixes = _by_difference(lattice, [(position[gamma], mult) for _, mult, gamma
-                                        in _admitted(t, gv) if gamma in position])
+    prefixes = _by_difference(lattice, [(i, mult) for _, mult, _, i in _admitted(t, gv)
+                                        if i is not None])
     return prefixes, [gv._p0_form()[1]], _top_n(gv, lattice.dmax)
 
 
@@ -866,10 +885,7 @@ def pt_series_from_gv(t, gv, nmax):
 def _n0_form(gv, entries):
     """The int form, over D, of y sum n0(beta) q^beta over the classes of
     the gv._by_degree() ``entries``, those above dmax dropped."""
-    gv.lattice.classes()  # fills _positions
-    position = gv.lattice._positions
-    return gv._n0_den(), {(1, position[beta]): mult for _, mult, beta in entries
-                          if beta in position}
+    return gv._n0_den(), {(1, i): mult for _, mult, _, i in entries if i is not None}
 
 
 def wall_factor_series(t0, gv, nmax):
@@ -889,22 +905,25 @@ def _on_wall(t0, gv):
 def wall_classes(t0, gv):
     """The stored classes of degree 1/t0, sorted; t0 <= 0 raises TParam's
     ValueError."""
-    return sorted(gamma for _, _, gamma in _on_wall(t0, gv))
+    return sorted(gamma for _, _, gamma, _ in _on_wall(t0, gv))
 
 
 def js_from_gv(n, beta, gv):
     """Equal-slope pair count: for n >= 1 the sum over ordered decompositions
     beta_1 + ... + beta_n = beta with deg(beta_i) = deg(beta)/n of the product
-    of n0 values; n = 1 gives n0(beta); n = 0 gives P(0, beta)."""
+    of n0 values; n = 1 gives n0(beta); n = 0 gives P(0, beta) (see
+    p0_value).  For n >= 1 a class above dmax is computed, and a key that is
+    no class raises ValueError."""
     if n == 0:
         return gv.p0_value(beta)
     lattice = gv.lattice
+    lattice._position(beta)
     slope = Fraction(lattice.deg(beta), n)
     # the ordered-decomposition recursion over the classes of that slope
     # alone, with P(0, beta) = 1 on the zero class and 0 elsewhere, on the
     # lattice up to deg(beta): it holds every class of the rank inside beta
     on_slope = {gamma: v for gamma, v in gv.n0.items() if lattice.deg(gamma) == slope}
-    capped = ClassLattice(lattice.rank, lattice.omega, max(lattice.deg(beta), 0))
+    capped = ClassLattice(lattice.rank, lattice.omega, lattice.deg(beta))
     return pt_coeff_from_gv(TParam.infinity(), n, beta, GVTable(capped, on_slope, p0={}))
 
 
@@ -916,7 +935,7 @@ def _admitted(t, gv):
     them, which ends at the first degree t does not admit (WallError for an
     exact t on the wall of a stored degree)."""
     heaviest = gv._by_degree()
-    for count, (deg, _, _) in enumerate(heaviest):
+    for count, (deg, *_) in enumerate(heaviest):
         if not t.admits(deg):
             return heaviest[:count]
     return heaviest
@@ -976,11 +995,10 @@ def wall_jump_check(t0, gv, nmax):
     # over D^n E K_W, W(k, b'') P^-(n-k, .) is D^k (K_W W(k, b'')) g^-(n-k, .)
     # and n0(b'') P^-(n-1, .) is (K_W D n0(b'')) g^-(n-1, .)
     scale_d, scale_e = gv._n0_den(), gv._p0_form()[0]
-    position = lattice._positions
     terms_at = _by_difference(lattice, [(i2, k, w * scale_d**k)
                                         for (k, i2), w in wall.items() if k])
-    wall_at = _by_difference(lattice, [(position[b2], mult * scale_w)
-                                       for _, mult, b2 in on_wall if b2 in position])
+    wall_at = _by_difference(lattice, [(i, mult * scale_w) for _, mult, _, i in on_wall
+                                       if i is not None])
 
     rows = []
     all_ok = series_ok
@@ -1022,7 +1040,7 @@ def wall_jump_check(t0, gv, nmax):
                 )
     return {
         "t0": frac_str(t0),
-        "wall_classes": sorted(list(gamma) for _, _, gamma in on_wall),
+        "wall_classes": sorted(list(gamma) for _, _, gamma, _ in on_wall),
         "series_identity_ok": series_ok,
         "coefficients": rows,
         "ok": all_ok,
@@ -1042,7 +1060,9 @@ def _by_difference(lattice, entries):
 
 
 def _slope(n, beta, lattice):
-    """n/deg(beta); a class of degree zero (the zero class) raises ValueError."""
+    """n/deg(beta); a key that is no class, or the zero class, raises
+    ValueError (a class above dmax is taken)."""
+    lattice._position(beta)
     if lattice.deg(beta) <= 0:
         raise ValueError(f"wall predicates need a class of positive degree, got {beta}")
     return Fraction(n, lattice.deg(beta))
@@ -1050,7 +1070,9 @@ def _slope(n, beta, lattice):
 
 def no_wall_predicate(beta, n, nmin, lattice):
     """True when no wall can separate (n, beta): for every intermediate class
-    0 < beta' < beta,  n/deg(beta) <= nmin(beta')/deg(beta')."""
+    0 < beta' < beta,  n/deg(beta) <= nmin(beta')/deg(beta').  A key that is
+    no class, or the zero class, raises ValueError; a class above dmax is
+    taken."""
     beta = tuple(beta)
     slope = _slope(n, beta, lattice)
     for sub in lattice.sub_classes(beta):
@@ -1062,7 +1084,8 @@ def no_wall_predicate(beta, n, nmin, lattice):
 def wall_candidates(beta, n, nmin, lattice):
     """All candidate wall locations above the slope of (n, beta): values
     n''/deg(beta'') in (n/deg(beta), infinity) with 0 < beta'' < beta and
-    nmin(beta'') <= n'' <= n - nmin(beta - beta'')."""
+    nmin(beta'') <= n'' <= n - nmin(beta - beta'').  A key that is no class,
+    or the zero class, raises ValueError; a class above dmax is taken."""
     beta = tuple(beta)
     slope = _slope(n, beta, lattice)
     found = set()

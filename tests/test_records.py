@@ -176,6 +176,11 @@ def test_construction_checks_stay():
         ClassLattice(1, (0,), 3)
     with pytest.raises(ValueError, match="dmax must be nonnegative"):
         ClassLattice(1, (1,), -1)
+    # rank, the entries of omega and dmax are ints, not floats, strings or bools
+    for args in ((1, (1.5,), 3), (1, ("2",), 3), (1, (True,), 3), (True, (1,), 3),
+                 (1.0, (1,), 3), (1, (1,), 3.5), (1, (1,), 3.0), (1, (1,), False)):
+        with pytest.raises(ValueError, match="must be ints"):
+            ClassLattice(*args)
     with pytest.raises(ValueError, match="unknown stability parameter kind"):
         TParam("finit")
     with pytest.raises(TypeError):

@@ -149,12 +149,22 @@ def test_table_rejects_meeting_keys_off_its_lattice():
 def test_stored_degrees_are_computed_once_per_table(monkeypatch):
     gv = GVTable(ClassLattice(2, (1, 2), 6), n0={(0, 2): 1, (1, 0): 2, (0, 1): 3, (2, 0): 1})
     heaviest = gv._by_degree()
-    assert [deg for deg, _, _ in heaviest] == [4, 2, 2, 1]
+    assert [deg for deg, *_ in heaviest] == [4, 2, 2, 1]
+    classes = gv.lattice.classes()
+    assert [i for *_, i in heaviest] == [classes.index(gamma) for _, _, gamma, _ in heaviest]
+    # a stored class above dmax has no position
+    above = GVTable(ClassLattice(2, (1, 2), 3), n0={(0, 2): 1, (1, 0): 2})._by_degree()
+    assert [(gamma, i) for _, _, gamma, i in above] == [((0, 2), None), ((1, 0), 1)]
 
     def no_degree(self, beta):
         raise AssertionError("degree recomputed")
 
+    def no_position(self, beta):
+        raise AssertionError("position recomputed")
+
     monkeypatch.setattr(ClassLattice, "deg", no_degree)
+    monkeypatch.setattr(ClassLattice, "_position", no_position)
+    assert series_module._n0_form(gv, heaviest) == (1, {(1, i): mult for _, mult, _, i in heaviest})
     assert _top_n(gv, 9) == 6 and _top_n(gv, 2) == 2
     assert _top_n(GVTable(gv.lattice), 9) == 0
     assert wall_classes(Fraction(1, 2), gv) == [(0, 1), (2, 0)]
@@ -1025,12 +1035,13 @@ def test_exact_parameter_on_a_wall_is_quiet_below_it():
 
 def test_tuples_off_the_lattice_are_refused():
     gv = GVTable(ClassLattice(2, (1, 1), 3), n0={(1, 0): 1}, p0={})
-    for beta in ((1,), (1, 0, 5), (4, 0), (2, 2)):  # other lengths, above dmax
-        with pytest.raises(ValueError, match=re.escape(f"{beta} is not a class")):
-            pt_coeff_from_gv(TParam.infinity(), 1, beta, gv)
+    # other lengths, negative entries, above dmax; at n < 0 too
+    for beta in ((1,), (1, 0, 5), (-1, 5), (0, -1), (4, 0), (2, 2)):
+        for n in (1, -1):
+            with pytest.raises(ValueError, match=re.escape(f"{beta} is not a class")):
+                pt_coeff_from_gv(TParam.infinity(), n, beta, gv)
     assert pt_coeff_from_gv(TParam.infinity(), 1, (1, 0), gv) == 1
-    assert pt_coeff_from_gv(TParam.infinity(), -1, (1,), gv) == 0
-    assert pt_coeff_from_gv(TParam.infinity(), 1, (-1, 5), gv) == 0
+    assert pt_coeff_from_gv(TParam.infinity(), -1, (1, 0), gv) == 0
     # a synthesized P(0, .) is truncated at dmax: M(q) has 24 q^5 and 13 q^4
     tables = {dmax: GVTable(ClassLattice(1, (1,), dmax), n0={(1,): 1}, n1={(1,): 1})
               for dmax in (3, 6)}
@@ -1041,7 +1052,10 @@ def test_tuples_off_the_lattice_are_refused():
                   lambda gv: pt_coeff_from_gv(TParam.infinity(), 1, (5,), gv)):
         with pytest.raises(ValueError, match=re.escape("(5,) is not a class")):
             query(tables[3])
-    assert tables[3].p0_value((-1,)) == 0
+    for gv in tables.values():
+        for beta in ((-1,), (1, 0)):
+            with pytest.raises(ValueError, match=re.escape(f"{beta} is not a class")):
+                gv.p0_value(beta)
     # an equal-slope count is taken on a lattice of its own, up to deg(beta)
     for gv in tables.values():
         assert js_from_gv(5, (5,), gv) == 1
@@ -1376,10 +1390,15 @@ def test_series_coefficient_off_the_series_is_zero():
     lattice = ClassLattice(2, (1, 2), 4)
     series = TruncatedSeries(lattice, 2, {(1, (1, 0)): Fraction(1, 3), (2, (0, 2)): -4})
     assert series.coefficient(2, (0, 2)) == -4 and type(series.coefficient(2, (0, 2))) is Fraction
-    for n, beta in ((1, (1,)), (1, (1, 0, 0)), (1, ()), (1, (5, 0)), (1, (0, 3)), (1, (-1, 0)),
-                    (0, (1, 0)), (3, (1, 0)), (-1, (1, 0)), (2, (0, 1))):
+    # above dmax, or a key the series does not hold
+    for n, beta in ((1, (5, 0)), (1, (0, 3)), (0, (1, 0)), (3, (1, 0)), (-1, (1, 0)),
+                    (2, (0, 1))):
         value = series.coefficient(n, beta)
         assert value == 0 and type(value) is Fraction, (n, beta)
+    # other lengths and negative entries are no classes
+    for n, beta in ((1, (1,)), (1, (1, 0, 0)), (1, ()), (1, (-1, 0)), (-1, (0, -2))):
+        with pytest.raises(ValueError, match=re.escape(f"{beta} is not a class")):
+            series.coefficient(n, beta)
 
 
 def test_series_coeffs_is_a_fresh_dict():
