@@ -432,7 +432,7 @@ def _closed_form_term(comp):
     return _merged_term(comp.parts, 1, _closed_part_block, _closed_pair_block)
 
 
-def js_invariant_closed_form(n, d, jobs=1, audit=False):
+def js_invariant_closed_form(n, d, audit=False):
     """Invariant P(n, d) on the standard geometry by the closed formula.
 
     P(n, d) = 1/(1! ... k!) * 1/(l0^(k(k+1)/2) * l3^d) * sum over compositions
@@ -440,7 +440,7 @@ def js_invariant_closed_form(n, d, jobs=1, audit=False):
         1/(d_0! ... d_k!) * prod_{i<j} ((j-i) l0 + (d_i - d_j) l3)
         * prod_i [ prod_{a<=d_i, b<=k-i} (a l3 + b l0)^-1
                  * prod_{a<=d_i, b<=i}   (a l3 - b l0)^-1 ],
-    with k = n/d - 1.  Requires d >= 1 and d | n.  ``jobs`` is accepted and not used.
+    with k = n/d - 1.  Requires d >= 1 and d | n.
     """
     start = time.monotonic()
     if d < 1:

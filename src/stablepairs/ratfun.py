@@ -748,67 +748,30 @@ def specialize(f, assignments):
     return RatFun(num, den)
 
 
-def _split_in(p, var):
-    """{rest monomial: dense coefficient list in l_var, lowest power first};
-    integral coefficients become ints."""
-    split = {}
-    for mono, c in p.coeffs.items():
-        rest = mono[:var] + (0,) + mono[var + 1:]
-        coefficients = split.setdefault(rest, [])
-        power = mono[var]
-        if len(coefficients) <= power:
-            coefficients.extend([0] * (power + 1 - len(coefficients)))
-        coefficients[power] = c.numerator if c.denominator == 1 else c
-    return split
-
-
-def _synthetic_division(coefficients, point):
-    """(quotient, remainder) of a dense polynomial by (x - point); the
-    remainder is its value at point (Horner)."""
-    quotient = [0] * (len(coefficients) - 1)
-    carry = coefficients[-1]
-    for power in range(len(coefficients) - 2, -1, -1):
-        quotient[power] = carry
-        carry = coefficients[power] + carry * point
-    return quotient, carry
-
-
 def residue_at(f, pole, var=0):
     """Residue of f at l_var = pole, as a RatFun in the remaining variables.
 
     Zero when there is no pole; PoleOrderError when the pole order is two or
-    more (the caller must fall back to full simplification).
-
-    Numerator and denominator are split once by the power of l_var into
-    dense coefficient lists, one per monomial in the other variables (ints
-    where integral).  (l_var - pole) divides the denominator exactly when
-    every list vanishes at pole, so the pole order comes from repeated
-    synthetic division and the values from Horner's rule; no Poly.subs and
-    no polynomial gcd run for a univariate f, whose residue denominator is a
-    constant (see _reduce_fraction).
+    more (the caller must fall back to full simplification).  The pole order
+    is the number of exact divisions of the denominator by l_var - pole; at a
+    simple pole the residue is the numerator over that cofactor, both at
+    l_var = pole.
     """
     if not 0 <= var < f.arity:
         raise ValueError(f"residue variable {var} out of range for arity {f.arity}")
     pole = Fraction(pole)
-    point = pole.numerator if pole.denominator == 1 else pole
-    den = _split_in(f.den, var)
-    order = 0
-    while True:
-        divided = {rest: _synthetic_division(c, point) for rest, c in den.items()}
-        if any(r for _, r in divided.values()):
-            break
-        den = {rest: q for rest, (q, _) in divided.items()}
-        order += 1
+    linear = Poly.variable(var, f.arity) - Poly.constant(pole, f.arity)
+    cofactors, den = [], f.den
+    while (den := den.try_divide(linear)) is not None:
+        cofactors.append(den)
+    order = len(cofactors)
     if order == 0:
         return RatFun.zero(f.arity)
     if order >= 2:
         raise PoleOrderError(
             f"pole of order {order} at variable {var} = {pole}; residue undefined"
         )
-    num = _split_in(f.num, var)
-    num_at = {rest: _synthetic_division(c, point)[1] for rest, c in num.items()}
-    den_at = {rest: r for rest, (_, r) in divided.items()}
-    return RatFun(Poly(f.arity, num_at), Poly(f.arity, den_at))
+    return RatFun(f.num.subs({var: pole}), cofactors[0].subs({var: pole}))
 
 
 # -- factored fast path ----------------------------------------------------------

@@ -798,8 +798,9 @@ def test_series_missing_gv_file_exits_2(tmp_path):
 
 def test_no_command_reaches_the_generic_gcd(tmp_path, monkeypatch):
     """Every command gives the same exit code and output with
-    ratfun.poly_gcd made to raise: the sums, golden files, checkpoints and
-    the residue certificate are all reduced without the generic gcd."""
+    ratfun.poly_gcd and ratfun.residue_at made to raise: the sums, golden
+    files, checkpoints and the residue certificate are all reduced without
+    the generic gcd, and no command takes a residue of a RatFun."""
     p2 = str(FIXTURES / "local_p2.json")
     golden = tmp_path / "g.txt"
     js = ["js", "--n", "6", "--d", "3"]
@@ -822,10 +823,11 @@ def test_no_command_reaches_the_generic_gcd(tmp_path, monkeypatch):
             path.unlink(missing_ok=True)
         return [run(argv) for argv in commands]
 
-    def no_gcd(*args):
-        raise AssertionError("the generic gcd was reached")
+    def tripwire(*args, **kwargs):
+        raise AssertionError("the generic gcd or residue_at was reached")
 
     expected = run_all()
     assert [code for code, _, _ in expected] == [0] * len(commands)
-    monkeypatch.setattr("stablepairs.ratfun.poly_gcd", no_gcd)
+    for name in ("poly_gcd", "residue_at"):
+        monkeypatch.setattr(f"stablepairs.ratfun.{name}", tripwire)
     assert run_all() == expected

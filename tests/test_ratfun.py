@@ -631,6 +631,68 @@ def test_sum_factored_matches_naive_sum_randomized(packing_bounds_seen):
     assert max(map(len, packing_bounds_seen)) == 3
 
 
+def packed_sum(products, arity):
+    """_kronecker_sum of products over the need their exponents give, in
+    the order the products first meet each form."""
+    need = {}
+    for _, exponents in products:
+        for form, e in exponents.items():
+            need[form] = max(need.get(form, 0), -e)
+    return _kronecker_sum(products, need, arity)
+
+
+def test_sum_factored_and_the_packed_sum_ignore_term_order():
+    """Packing is a ring homomorphism, so the product tree may meet the
+    terms in any order: on a shuffled list of nonzero terms sum_factored
+    gives the same RatFun, coefficient for coefficient, and _kronecker_sum
+    the same coefficients.  Half the cases mix total degrees."""
+    rng = random.Random(2717)
+    for case in range(24):
+        arity = 1 + case % 4
+        pool = [random_form(rng, arity) for _ in range(3)]
+        degree = rng.randint(-4, 2) if case % 2 else None
+        terms = [random_term(rng, pool, degree) for _ in range(rng.randint(2, 13))]
+        expected = sum_factored(terms, arity)
+        # scalars cleared to ints; _kronecker_sum needs one total degree
+        scale = math.lcm(*(t.scalar.denominator for t in terms))
+        products = [(t.scalar.numerator * (scale // t.scalar.denominator), t.forms)
+                    for t in terms]
+        for _ in range(3):
+            order = rng.sample(range(len(terms)), len(terms))
+            got = sum_factored([terms[i] for i in order], arity)
+            assert (got.num.coeffs, got.den.coeffs) == (expected.num.coeffs,
+                                                       expected.den.coeffs), case
+            assert ratfun_str(got) == ratfun_str(expected), case
+            if degree is not None:
+                assert (packed_sum([products[i] for i in order], arity)
+                        == packed_sum(products, arity)), case
+
+
+def test_sum_factored_of_many_terms_sharing_one_denominator():
+    """Forty terms over one denominator dict of forms j*l0 + e*l3, some with
+    numerator forms of different degrees, equal the naive RatFun sum: the
+    numerators added as Poly products over that denominator, then one gcd
+    reduction.  This is the regime where the product tree lifts no term."""
+    rng = random.Random(2718)
+    forms = [(1, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 1), (1, 0, 0, -1), (1, 0, 0, 2),
+             (2, 0, 0, 3), (1, 0, 0, -3)]
+    for case in range(6):
+        den_forms, num_forms = forms[:3 + case % 2], forms[3 + case % 2:]
+        den = [(form, -rng.randint(1, 2)) for form in den_forms]
+        terms = [
+            FactoredRatFun.product(
+                random_scalar(rng),
+                den + [(rng.choice(num_forms), rng.randint(1, 2))
+                       for _ in range(rng.randint(0, 2))])
+            for _ in range(40)
+        ]
+        denominators = {frozenset((f, e) for f, e in t.forms.items() if e < 0)
+                        for t in terms}
+        assert len(denominators) == 1
+        common, num = cleared_naive_sum(terms, ARITY)
+        assert sum_factored(terms, ARITY) == RatFun(num, common), case
+
+
 def test_sum_factored_packing_bounds():
     # one monomial whose coefficient equals the bound, at a power of two
     for scalar in (2**64, -(2**64), 2**64 - 1):
