@@ -99,6 +99,13 @@ class Composition(FrozenRecord):
     def nonzero_parts(self):
         return sum(1 for p in self.parts if p)
 
+    def mirror_side(self):
+        """1, 0 or -1 as the parts compare with the reversed parts, the
+        composition's mirror under the swap of Z0 and Zinf: one of each
+        mirror pair has side 1, and a palindrome is its own mirror."""
+        mirror = self.parts[::-1]
+        return (self.parts > mirror) - (self.parts < mirror)
+
     def label(self):
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
@@ -116,6 +123,11 @@ class D1FixedPoint(FrozenRecord):
     @property
     def n(self):
         return self.a + self.b + 1
+
+    def mirror_side(self):
+        """1, 0 or -1 as a compares with b: the mirror of (a, b) under the
+        swap of Z0 and Zinf is (b, a)."""
+        return (self.a > self.b) - (self.a < self.b)
 
     def label(self):
         return f"(a={self.a},b={self.b})"
@@ -362,14 +374,27 @@ class InvariantResult(Record):
 
 
 def _localize(n, d, geom, points, term, audit, start):
-    """The invariant as the reduced sum of term(point) over the fixed points."""
-    terms = [term(point) for point in points]
+    """The invariant as the reduced sum of term(point) over the fixed points.
+
+    The involution of P^1 that swaps Z0 and Zinf inverts t0 and maps the
+    fixed points to themselves, so term(mirror of p) is term(p) under
+    l0 -> -l0.  One term is built per mirror pair, at the point of side 1
+    (mirror_side), and a self-mirror point's term enters at half weight;
+    sum_factored(mirrored=True) adds each term's image.  --audit builds and
+    lists every point's term.
+    """
     contributions = None
     if audit:
-        contributions = [(p.label(), t.to_ratfun(4)) for p, t in zip(points, terms)]
+        contributions = [(p.label(), term(p).to_ratfun(4)) for p in points]
+    terms = []
+    for p in points:
+        side = p.mirror_side()
+        if side >= 0:
+            t = term(p)
+            terms.append(t if side else t.times_scalar(Fraction(1, 2)))
     return InvariantResult(
-        n, d, geom.degrees, sum_factored(terms, 4), len(points), _ms_since(start),
-        contributions,
+        n, d, geom.degrees, sum_factored(terms, 4, mirrored=True), len(points),
+        _ms_since(start), contributions,
     )
 
 
@@ -478,9 +503,11 @@ def _worker_count(jobs, items):
 # verify starts its row pool only for rows of at least this many fixed points
 # in all.  Jobs 1 -> 2 with the gate off, each run in a fresh process on a
 # 2-CPU machine (Python 3.11, medians of 9 alternated runs): verify(3,6), 203
-# points, 0.009 -> 0.037 s; verify(6,6), 1,709 points, 0.055 -> 0.070 s;
-# verify(6,8), 6,426 points, 0.216 -> 0.201 s.
-_POOL_MIN_FIXED_POINTS = 3000
+# points, 0.004 -> 0.030 s; verify(6,6), 1,709 points, 0.026 -> 0.046 s;
+# verify(4,12), 6,109 points, 0.091 -> 0.100 s; verify(6,8), 6,426 points,
+# 0.099 -> 0.099 s; verify(7,7), 6,427 points, 0.101 -> 0.094 s;
+# verify(5,10), 7,952 points, 0.120 -> 0.097 s.
+_POOL_MIN_FIXED_POINTS = 6400
 
 
 def _ordered_map(fn, items, jobs):
@@ -562,7 +589,9 @@ def _residues_at_l3_one(term, d):
     scalar / prod_j (l0 + j l3) over distinct j in [-d, d] (else
     PoleOrderError): at m = -j the residue is num / den with num the
     scalar's numerator and den its denominator times prod_{k != j} (k - j),
-    unreduced ints."""
+    unreduced ints.  Over all k != j of [lo, hi] = [min j, max j] that
+    product is (-1)^(j - lo) (j - lo)! (hi - j)!; the k of [lo, hi] that are
+    not among the j (one per summand of the certificate) are divided out."""
     js = []
     for form, e in term.forms.items():
         if e != -1 or form != (1, 0, 0, form[-1]) or not -d <= form[-1] <= d:
@@ -570,7 +599,15 @@ def _residues_at_l3_one(term, d):
                 f"summand factor {form}^{e} is not (l0 + j l3)^-1 with |j| <= {d}")
         js.append(form[-1])
     num, den = term.scalar.numerator, term.scalar.denominator
-    return {-j: (num, den * math.prod(k - j for k in js if k != j)) for j in js}
+    lo, hi = min(js, default=0), max(js, default=0)
+    missing = set(range(lo, hi + 1)).difference(js)
+    residues = {}
+    for j in js:
+        product = math.factorial(j - lo) * math.factorial(hi - j)
+        for k in missing:
+            product //= k - j
+        residues[-j] = (num, den * (-product if (j - lo) % 2 else product))
+    return residues
 
 
 def _printed_residue_total(m, d):

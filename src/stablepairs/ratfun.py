@@ -304,10 +304,11 @@ class Poly:
         for v in assignments:
             if not 0 <= v < self.arity:
                 raise ValueError(f"assignment for variable {v} out of range")
-        result = Poly(self.arity)
+        # every substituted monomial is added into one map, zeros dropped once
+        out = {}
         for mono, c in self.coeffs.items():
             scalar = c
-            poly_factor = None
+            factor = None
             residual = list(mono)
             for v, value in assignments.items():
                 e = mono[v]
@@ -317,15 +318,18 @@ class Poly:
                 if isinstance(value, Poly):
                     if value.arity != self.arity:
                         raise ValueError("substituted polynomial has wrong arity")
-                    piece = value**e
-                    poly_factor = piece if poly_factor is None else poly_factor * piece
+                    piece = (value**e).coeffs
+                    factor = piece if factor is None else _convolved(factor, piece)
                 else:
                     scalar = scalar * (Fraction(value) ** e)
-            term = Poly(self.arity, {tuple(residual): scalar})
-            if poly_factor is not None:
-                term = term * poly_factor
-            result = result + term
-        return result
+            if factor is None:
+                pieces = ((tuple(residual), scalar),)
+            else:
+                pieces = ((tuple(map(add, residual, shift)), scalar * c2)
+                          for shift, c2 in factor.items())
+            for key, coeff in pieces:
+                out[key] = out[key] + coeff if key in out else coeff
+        return Poly._trusted(self.arity, {m: c for m, c in out.items() if c})
 
     # -- division --------------------------------------------------------------
 
@@ -971,7 +975,7 @@ def _kronecker_sum(products, need, arity):
     return coeffs
 
 
-def sum_factored(terms, arity):
+def sum_factored(terms, arity, mirrored=False):
     """Sum FactoredRatFun terms over a common denominator, fully reduced.
 
     Over the common denominator prod(form ** need) a term's numerator is
@@ -987,6 +991,16 @@ def sum_factored(terms, arity):
     equal forms, each primitive with a positive first entry, so the term's
     numerator and denominator are already coprime.  The denominator left is
     a product of such forms, so it is canonical as it stands (RatFun._trusted).
+
+    With ``mirrored`` the result is the sum of the terms plus their images
+    under l0 -> -l0, which maps a form (a, b, c, e) with a != 0 to -1 times
+    the form (a, -b, -c, -e).  need is closed under that image (the larger
+    exponent kept), so D = prod(form ** need) has D(-l0) = sigma * D with
+    sigma = (-1) ** (sum of need over the forms with a != 0), and the image
+    of N / D is N(-l0) / (sigma * D).  So the packed sum of the terms alone
+    gives the numerator of both: c_m * (1 + sigma * (-1) ** m_0), which is
+    2 c_m or 0.  A term equal to its own image is passed at half weight.  The
+    sum is always reduced: one term stands for two.
     """
     terms = [t for t in terms if not t.is_zero()]
     if not terms:
@@ -996,6 +1010,12 @@ def sum_factored(terms, arity):
         for form, e in t.forms.items():
             if -e > need.get(form, 0):
                 need[form] = -e
+    if mirrored:
+        for form, e in list(need.items()):
+            if form[0]:
+                image = (form[0], *(-c for c in form[1:]))
+                need[form] = need[image] = max(e, need.get(image, 0))
+        sigma = (-1) ** sum(e for form, e in need.items() if form[0])
     groups = {}
     for t in terms:
         groups.setdefault(sum(t.forms.values()), []).append(t)
@@ -1007,12 +1027,16 @@ def sum_factored(terms, arity):
             for t in group
         ]
         for mono, c in _kronecker_sum(products, need, arity).items():
+            if mirrored:
+                c *= 1 + sigma * (-1) ** mono[0]
+                if not c:
+                    continue
             total[mono] = Fraction(c, scale)
     if not total:
         return RatFun.zero(arity)
     num_poly = Poly._trusted(arity, total)
     remaining = dict(need)
-    for form in sorted(need) if len(terms) > 1 else ():
+    for form in sorted(need) if len(terms) > 1 or mirrored else ():
         form_poly = Poly.linear_form(form, arity)
         while remaining[form] > 0:
             q = num_poly.try_divide(form_poly)

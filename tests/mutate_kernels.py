@@ -51,6 +51,8 @@ SWEEP_BOUNDS = ("tests/test_acceptance.py::"
 HIGHER_POLE = "tests/test_ratfun.py::test_residue_rejects_higher_order_poles"
 RESIDUE_REFERENCE = "tests/test_ratfun.py::test_residue_at_matches_reference_on_random_ratfuns"
 SIMPLE_POLES = "tests/test_ratfun.py::test_residues_of_simple_pole_product"
+MIRROR_TERMS = "tests/test_acceptance.py::test_mirror_point_terms_are_the_l0_images"
+UNFOLDED = "tests/test_acceptance.py::test_invariants_equal_the_unfolded_sum_of_every_term"
 
 # (module, function, line as it stands, mutated line, tests that must catch it)
 MUTATIONS = [
@@ -115,13 +117,15 @@ MUTATIONS = [
     ("localcurve", "_closed_pair_block",
      "    return _block_items(FactoredRatFun.product(-gap, factors))\n",
      "    return _block_items(FactoredRatFun.product(gap, factors))\n", [KERNELS, CRITERION_2]),
+    ("localcurve", "_residues_at_l3_one", "            product //= k - j\n",
+     "            product //= j - k\n", [INT_RESIDUES]),
     ("localcurve", "_residues_at_l3_one",
-     "    return {-j: (num, den * math.prod(k - j for k in js if k != j)) for j in js}\n",
-     "    return {-j: (num, den * math.prod(j - k for k in js if k != j)) for j in js}\n",
+     "        residues[-j] = (num, den * (-product if (j - lo) % 2 else product))\n",
+     "        residues[-j] = (num, den * (-product if (j - hi) % 2 else product))\n",
      [INT_RESIDUES]),
     ("localcurve", "_residues_at_l3_one",
-     "    return {-j: (num, den * math.prod(k - j for k in js if k != j)) for j in js}\n",
-     "    return {j: (num, den * math.prod(k - j for k in js if k != j)) for j in js}\n",
+     "        residues[-j] = (num, den * (-product if (j - lo) % 2 else product))\n",
+     "        residues[j] = (num, den * (-product if (j - lo) % 2 else product))\n",
      [INT_RESIDUES]),
     ("localcurve", "_residues_at_l3_one",
      "    num, den = term.scalar.numerator, term.scalar.denominator\n",
@@ -130,6 +134,28 @@ MUTATIONS = [
      "        if e != -1 or form != (1, 0, 0, form[-1]) or not -d <= form[-1] <= d:\n",
      "        if e > -1 or form != (1, 0, 0, form[-1]) or not -d <= form[-1] <= d:\n",
      [NON_SIMPLE]),
+    ("localcurve", "Composition.mirror_side",
+     "        return (self.parts > mirror) - (self.parts < mirror)\n",
+     "        return (self.parts >= mirror) - (self.parts < mirror)\n", [MIRROR_TERMS, UNFOLDED]),
+    ("localcurve", "D1FixedPoint.mirror_side",
+     "        return (self.a > self.b) - (self.a < self.b)\n",
+     "        return (self.a >= self.b) - (self.a < self.b)\n", [MIRROR_TERMS, UNFOLDED]),
+    ("localcurve", "_localize", "        if side >= 0:\n", "        if side > 0:\n", [UNFOLDED]),
+    ("localcurve", "_localize",
+     "            terms.append(t if side else t.times_scalar(Fraction(1, 2)))\n",
+     "            terms.append(t)\n", [UNFOLDED]),
+    ("ratfun", "sum_factored",
+     "                need[form] = need[image] = max(e, need.get(image, 0))\n",
+     "                need[form] = max(e, need.get(image, 0))\n", [RANDOM_SUM, UNFOLDED]),
+    ("ratfun", "sum_factored",
+     "        sigma = (-1) ** sum(e for form, e in need.items() if form[0])\n",
+     "        sigma = (-1) ** sum(e for form, e in need.items() if not form[0])\n",
+     [RANDOM_SUM, UNFOLDED]),
+    ("ratfun", "sum_factored", "                c *= 1 + sigma * (-1) ** mono[0]\n",
+     "                c *= 1 + sigma\n", [RANDOM_SUM, UNFOLDED]),
+    ("ratfun", "sum_factored",
+     "    for form in sorted(need) if len(terms) > 1 or mirrored else ():\n",
+     "    for form in sorted(need) if len(terms) > 1 else ():\n", [RANDOM_SUM]),
     ("ratfun", "_kronecker_sum", "        digit = int(text[end - bits:end], 2) + carry\n",
      "        digit = int(text[end - bits:end], 2)\n", [NAIVE_SUM, RANDOM_SUM]),
     ("ratfun", "_kronecker_sum", "        carry = digit >= half\n",

@@ -17,6 +17,8 @@ from stablepairs.cli import main as cli_main
 from stablepairs.equivariant import SplitGeometry, check_square_root, euler_factored
 from stablepairs.localcurve import (
     GEOM_STANDARD,
+    Composition,
+    D1FixedPoint,
     _closed_form_term,
     _closed_pair_block,
     _closed_part_block,
@@ -359,14 +361,68 @@ def test_kernel_terms_are_fresh_and_independent_of_the_caches():
             assert same_term(b, reference(comp)), (kernel, comp.parts)
 
 
+def mirror_image(term):
+    """term under l0 -> -l0: every form with its l0 entry negated, normalized
+    again by FactoredRatFun.product."""
+    return FactoredRatFun.product(
+        term.scalar, [((-form[0], *form[1:]), e) for form, e in term.forms.items()])
+
+
+TEST_GEOMETRIES = [(-1, -1, 0), (0, -1, -1), (1, -1, -2), (3, -2, -3)]
+
+
+def test_mirror_point_terms_are_the_l0_images():
+    """The swap of Z0 and Zinf reverses a composition and swaps (a, b); the
+    term of the mirror point is the term under l0 -> -l0, scalar and form
+    dict alike, for both kernels over the acceptance grid and in degree one
+    on the four test geometries.  mirror_side is antisymmetric and zero
+    exactly on self-mirror points."""
+    for kernel, _ in KERNELS:
+        for n, d, comps in kernel_compositions():
+            for comp in comps:
+                mirror = Composition(comp.parts[::-1])
+                assert mirror.mirror_side() == -comp.mirror_side(), comp.parts
+                assert (comp.mirror_side() == 0) == (mirror == comp), comp.parts
+                assert same_term(kernel(mirror), mirror_image(kernel(comp))), (
+                    kernel, n, d, comp.parts)
+    for degrees in TEST_GEOMETRIES:
+        geom = SplitGeometry(*degrees)
+        for n in range(1, 13):
+            for point in d1_fixed_points(n):
+                mirror = D1FixedPoint(point.b, point.a)
+                assert mirror.mirror_side() == -point.mirror_side(), point
+                assert (point.mirror_side() == 0) == (mirror == point), point
+                assert same_term(_contribution_d1(mirror, geom),
+                                 mirror_image(_contribution_d1(point, geom))), (degrees, point)
+
+
+def test_invariants_equal_the_unfolded_sum_of_every_term():
+    """Both methods, which build one term per mirror pair and fold in the
+    images, equal sum_factored of every fixed point's term with no fold."""
+    spots = CRITERION_2_GRID + DEEP_SPOTS
+    for family in VANISHING_FAMILIES.values():
+        spots += family
+    for n, d in spots:
+        assert js_invariant_enumerated(n, d).value == sum_factored(contributions(n, d), 4), (n, d)
+        if n % d == 0:
+            terms = [_closed_form_term(comp) for comp in enumerate_fixed_points(n, d)]
+            assert js_invariant_closed_form(n, d).value == sum_factored(terms, 4), (n, d)
+    for degrees in TEST_GEOMETRIES:
+        geom = SplitGeometry(*degrees)
+        for n in range(1, 13):
+            terms = [_contribution_d1(p, geom) for p in d1_fixed_points(n)]
+            assert js_invariant_enumerated(n, 1, geom).value == sum_factored(terms, 4), (
+                degrees, n)
+
+
 def test_sum_factored_results_are_already_canonical(monkeypatch):
     """_normalized leaves every denominator sum_factored returns as it is,
     so the result needs no re-normalization: the invariants and the --audit
     terms of the acceptance sweep and the deep tiers, both methods."""
     seen = []
 
-    def recorded(terms, arity):
-        result = sum_factored(terms, arity)
+    def recorded(terms, arity, mirrored=False):
+        result = sum_factored(terms, arity, mirrored)
         seen.append(result)
         return result
 
@@ -390,7 +446,7 @@ def test_sum_factored_results_are_already_canonical(monkeypatch):
 
 def test_criterion_6_invariants_are_homogeneous_of_degree_minus_n():
     # degree-one values on all four geometries
-    for degrees in [(-1, -1, 0), (0, -1, -1), (1, -1, -2), (3, -2, -3)]:
+    for degrees in TEST_GEOMETRIES:
         geom = SplitGeometry(*degrees)
         for n in range(1, 13):
             value = js_invariant_enumerated(n, 1, geom).value

@@ -127,7 +127,7 @@ def test_js_output_is_identical_across_job_counts():
 
 
 def test_js_above_the_pool_gate_starts_no_pool(pool_starts):
-    argv = ["js", "--n", "60", "--d", "4", "--format", "json", "--audit"]
+    argv = ["js", "--n", "76", "--d", "4", "--format", "json", "--audit"]
     runs = [run(argv + ["--jobs", str(j)]) for j in (1, 2)]
     assert runs[0] == runs[1]
     assert runs[0][0] == 0
@@ -136,7 +136,7 @@ def test_js_above_the_pool_gate_starts_no_pool(pool_starts):
 
 
 def test_verify_above_the_pool_gate_is_identical_across_job_counts(pool_starts):
-    runs = [run(["verify", "--d-max", "6", "--ratio-max", "7", "--format", "json",
+    runs = [run(["verify", "--d-max", "7", "--ratio-max", "7", "--format", "json",
                  "--jobs", str(j)]) for j in (1, 2)]
     assert runs[0] == runs[1]
     assert runs[0][0] == 0

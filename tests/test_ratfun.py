@@ -585,13 +585,42 @@ def random_term(rng, pool, degree=None):
     return FactoredRatFun.product(random_scalar(rng), factors)
 
 
+def mirror_image(term):
+    """term under l0 -> -l0: every form with its l0 entry negated, normalized
+    again by FactoredRatFun.product."""
+    return FactoredRatFun.product(
+        term.scalar, [((-form[0], *form[1:]), e) for form, e in term.forms.items()])
+
+
+def assert_sum_at_points(total, terms, arity, case):
+    """total equals the sum of the terms at two seeded integer points, each
+    term evaluated form by form in Fractions, with no expansion."""
+    for point in seeded_points(case, arity):
+        expected = 0
+        for t in terms:
+            value = t.scalar
+            for form, e in t.forms.items():
+                at = sum(c * x for c, x in zip(form, point))
+                assert at, (case, form, point)
+                value *= Fraction(at) ** e
+            expected += value
+        assert poly_value(total.num, point) == expected * poly_value(total.den, point), case
+
+
 def test_sum_factored_matches_naive_sum_randomized(packing_bounds_seen):
     """Arity 1-5, large form coefficients, exponents +-1..4, mixed degrees,
     terms without forms, and terms that cancel exactly; then 5-17 terms of
     one degree in arity 2-4 and 5-13 in arity 5, summed as a tree of
     halves, with cancelling pairs in different halves.  Every packing bound
-    must equal the lifted reference (packing_bounds_seen)."""
+    must equal the lifted reference (packing_bounds_seen).
+
+    The mirrored sum of the same terms is the naive sum of the terms and
+    their images under l0 -> -l0; so is a lone term over l0 and a form with
+    a nonzero l0 entry, whose two halves share the factor l0 (the mirrored
+    sum reduces even one term), and, with self-mirror terms at half weight,
+    each term times its image.  Each term less its image folds to zero."""
     rng = random.Random(2024)
+    mirror_rng = random.Random(2025)  # apart, so that rng draws the former terms
     for case in range(40 + 10 + 5):
         arity = 1 + case % 5 if case < 40 else 2 + case % 3 if case < 50 else 5
         pool = [random_form(rng, arity) for _ in range(3)]
@@ -627,6 +656,27 @@ def test_sum_factored_matches_naive_sum_randomized(packing_bounds_seen):
                             == poly_value(total.den, point) * poly_value(num, point)), case
         rng.shuffle(terms)
         assert sum_factored(terms + [t.times_scalar(-1) for t in terms], arity).is_zero()
+        if case >= 50:
+            continue  # the mirrored sums below take 20 s in arity 5
+        images = [mirror_image(t) for t in terms]
+        assert_sum_at_points(sum_factored(terms, arity, mirrored=True), terms + images,
+                             arity, case)
+        assert sum_factored(terms + [image.times_scalar(-1) for image in images], arity,
+                            mirrored=True).is_zero()
+        if case < 40 and arity > 1:
+            form = (mirror_rng.randint(1, 7),) + tuple(mirror_rng.choice([0, 1, -2, 3])
+                                                       for _ in range(arity - 1))
+            lone = FactoredRatFun.product(terms[0].scalar,
+                                          [((1,) + (0,) * (arity - 1), -1), (form, -1)])
+            assert sum_factored([lone], arity, mirrored=True) == (
+                naive_ratfun(lone, arity) + naive_ratfun(mirror_image(lone), arity)), case
+            palindromes = [
+                FactoredRatFun.product(t.scalar * image.scalar,
+                                       [*t.forms.items(), *image.forms.items()])
+                for t, image in zip(terms[:2], images)]
+            halves = [p.times_scalar(Fraction(1, 2)) for p in palindromes]
+            assert_sum_at_points(sum_factored(terms[2:] + halves, arity, mirrored=True),
+                                 terms[2:] + images[2:] + palindromes, arity, case)
     # arity 5 packs four variables, three of them below the top one
     assert max(map(len, packing_bounds_seen)) == 3
 
