@@ -190,18 +190,11 @@ def half_obstruction_d1(point, geom):
     where chi(O(l_i)) = l_i + 1 is an integer multiplicity carried entirely
     on the normal character t_i.
     """
-    terms = {}
-    for i, l in enumerate(geom.degrees, start=1):
-        chi = l + 1
-        if chi:
-            w = tuple(1 if j == i else 0 for j in range(4))
-            terms[w] = terms.get(w, 0) - chi
-    for j in range(-point.b, point.a + 1):
-        if j == 0:
-            continue
-        w = (j, 0, 0, 0)
-        terms[w] = terms.get(w, 0) - 1
-    return KClass(terms)
+    return _summed(chain(
+        ((tuple(int(j == i) for j in range(4)), -l - 1)
+         for i, l in enumerate(geom.degrees, start=1)),
+        (((j, 0, 0, 0), -1) for j in range(-point.b, point.a + 1) if j),
+    ))
 
 
 @lru_cache(maxsize=1 << 10)
@@ -276,19 +269,22 @@ def _pair_block_factors(gap, di, dj):
     return _block_items(euler_factored(_summed(_pair_characters(gap, di, dj))))
 
 
-def full_obstruction_general(comp, geom=GEOM_STANDARD):
-    """Full obstruction class chi(I, I)_0 at a composition fixed point,
-    assembled as chi(F, F) on X minus chi(F) and its dual."""
-    bundles = fixed_point_sheaf(comp)
+def _full_obstruction(bundles, geom):
+    """chi(I, I)_0 for F the sum of ``bundles``: chi(F, F) on X minus chi(F)
+    and its dual."""
     chi_f = chi_sheaf(bundles)
     return chi_adjunction(bundles, geom) - chi_f - chi_f.conj()
+
+
+def full_obstruction_general(comp):
+    """Full obstruction class chi(I, I)_0 at a composition fixed point
+    (standard (-1,-1,0) geometry)."""
+    return _full_obstruction(fixed_point_sheaf(comp), GEOM_STANDARD)
 
 
 def full_obstruction_d1(point, geom):
     """Full obstruction class at a degree-one fixed point."""
-    bundles = [EqLineBundleP1(point.a, point.b)]
-    chi_f = chi_sheaf(bundles)
-    return chi_adjunction(bundles, geom) - chi_f - chi_f.conj()
+    return _full_obstruction([EqLineBundleP1(point.a, point.b)], geom)
 
 
 def orientation_sign(comp):
@@ -481,7 +477,7 @@ def expected_conjecture_value(n, d):
     n = d, else zero."""
     if n == d and d >= 0:
         num = Poly.constant(Fraction(1, math.factorial(d)), 4)
-        return RatFun._trusted(num, Poly.variable(3, 4) ** d)
+        return RatFun._trusted(num, Poly._trusted(4, {(0, 0, 0, d): Fraction(1)}))
     return RatFun.zero()
 
 

@@ -260,13 +260,8 @@ class Poly:
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
         result = Poly.one(self.arity)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
+        for _ in range(exponent):
+            result = result * self
         return result
 
     # -- content / primitive part -------------------------------------------
@@ -501,9 +496,10 @@ def _pseudo_rem(f, g, var):
     return r
 
 
-def _content_in(p, var, cont=None):
+def _content_in(p, var):
     """The gcd of the coefficient polynomials of p viewed in the variable
-    var (and of ``cont``, when given); the fold stops once it is constant."""
+    var; the running gcd stops once it is constant."""
+    cont = None
     for power in range(p.degree_in(var) + 1):
         c = p.coeff_in(var, power)
         if c.is_zero():
@@ -512,12 +508,6 @@ def _content_in(p, var, cont=None):
         if cont.is_constant():
             break
     return cont
-
-
-def _primitive_part_in(p, var):
-    """(p / cont, cont) for cont the content of p in the variable var."""
-    cont = _content_in(p, var)
-    return p.exact_div(cont), cont
 
 
 def _subresultant_gcd(a, b, var):
@@ -533,8 +523,7 @@ def _subresultant_gcd(a, b, var):
         delta = f.degree_in(var) - g.degree_in(var)
         rem = _pseudo_rem(f, g, var)
         if rem.is_zero():
-            pp, _ = _primitive_part_in(g, var)
-            return pp
+            return g.exact_div(_content_in(g, var))
         if rem.degree_in(var) == 0:
             return Poly.one(arity)
         if g_coeff is None:
@@ -558,7 +547,10 @@ def poly_gcd(a, b):
     """A gcd of a and b, normalized to positive leading coefficient.
 
     The rational contents contribute gcd(c_a, c_b) = gcd of numerators over
-    lcm of denominators, so e.g. gcd(2*l0*l3, 4*l0^2) = 2*l0.
+    lcm of denominators, so e.g. gcd(2*l0*l3, 4*l0^2) = 2*l0.  In the
+    lowest variable of either input, the gcd is that of the two contents
+    times, when both inputs have positive degree there, the subresultant
+    gcd of their primitive parts.
     """
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
@@ -574,16 +566,11 @@ def poly_gcd(a, b):
     if pa.is_constant() or pb.is_constant():
         return Poly.constant(cont, a.arity)
     var = min(pa.used_variables() | pb.used_variables())
-    if pa.degree_in(var) == 0 or pb.degree_in(var) == 0:
-        # one input lacks the main variable: the gcd is its gcd with the
-        # coefficients of the other in that variable
-        free, other = (pa, pb) if pa.degree_in(var) == 0 else (pb, pa)
-        g = _content_in(other, var, free)
-    else:
-        ppa, conta = _primitive_part_in(pa, var)
-        ppb, contb = _primitive_part_in(pb, var)
+    conta, contb = _content_in(pa, var), _content_in(pb, var)
+    g = poly_gcd(conta, contb)
+    if pa.degree_in(var) and pb.degree_in(var):
         # the subresultant gcd is primitive in var already
-        g = poly_gcd(conta, contb) * _subresultant_gcd(ppa, ppb, var)
+        g = g * _subresultant_gcd(pa.exact_div(conta), pb.exact_div(contb), var)
     g = g.scale(cont / g.content())
     return g.scale(g.monic_sign())
 
@@ -703,10 +690,7 @@ class RatFun:
     def __pow__(self, exponent):
         if exponent < 0:
             return (RatFun.one(self.arity) / self) ** (-exponent)
-        out = RatFun.one(self.arity)
-        for _ in range(exponent):
-            out = out * self
-        return out
+        return RatFun(self.num**exponent, self.den**exponent)
 
     def as_fraction(self):
         """The value as a Fraction, when constant."""

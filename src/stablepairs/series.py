@@ -356,12 +356,12 @@ def _over(c, den):
     return c.numerator * (den // c.denominator)
 
 
-def _cover_sum(beta, table, weight, first=1):
-    """sum over k >= first with beta/k a class of ``table`` of
+def _cover_sum(beta, table, weight):
+    """sum over k >= 1 with beta/k a class of ``table`` of
     weight(k) * table[beta/k]: the multiple-cover sum of ``table`` at beta."""
     total = Fraction(0)
     g = math.gcd(*beta)
-    for k in range(first, g + 1):
+    for k in range(1, g + 1):
         if g % k == 0:
             base = tuple(b // k for b in beta)
             if base in table:
@@ -1110,15 +1110,23 @@ def gw0_from_gv0(n0, lattice):
     return {beta: v for beta, v in out.items() if v}
 
 
+def _inverted(target, weight, lattice):
+    """The table t with target(beta) = sum_{k | beta} weight(k) t(beta/k)
+    and weight(1) = 1, solved in increasing degree, zeros dropped: t(beta)
+    is target(beta) less the cover sum of the t found so far, which holds
+    no entry at beta yet."""
+    t = {}
+    for beta in lattice.positive_classes():
+        value = Fraction(target.get(beta, 0)) - _cover_sum(beta, t, weight)
+        if value:
+            t[beta] = value
+    return t
+
+
 def gv0_from_gw(gw0, lattice):
     """Triangular inversion of the genus-zero multiple-cover sum."""
     _check_class_keys(lattice.rank, gw0)
-    n0 = {}
-    for beta in lattice.positive_classes():
-        total = Fraction(gw0.get(beta, 0)) - _cover_sum(beta, n0, _inverse_square, 2)
-        if total:
-            n0[beta] = total
-    return n0
+    return _inverted(gw0, _inverse_square, lattice)
 
 
 def _inverse(k):
@@ -1162,13 +1170,5 @@ def gv1_extract(gw1, n0_c2, meeting, lattice):
     where sigma(1)/1 = 1 multiplies the new entry."""
     _check_class_keys(lattice.rank, gw1)
     known = gw1_assemble({}, n0_c2, meeting, lattice)
-    n1 = {}
-    for beta in lattice.positive_classes():
-        residual = (
-            Fraction(gw1.get(beta, 0))
-            - known.get(beta, 0)
-            - _cover_sum(beta, n1, _sigma_over_k, 2)
-        )
-        if residual:
-            n1[beta] = residual
-    return n1
+    return _inverted({beta: Fraction(gw1.get(beta, 0)) - known.get(beta, 0)
+                      for beta in lattice.positive_classes()}, _sigma_over_k, lattice)

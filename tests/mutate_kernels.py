@@ -53,6 +53,16 @@ RESIDUE_REFERENCE = "tests/test_ratfun.py::test_residue_at_matches_reference_on_
 SIMPLE_POLES = "tests/test_ratfun.py::test_residues_of_simple_pole_product"
 MIRROR_TERMS = "tests/test_acceptance.py::test_mirror_point_terms_are_the_l0_images"
 UNFOLDED = "tests/test_acceptance.py::test_invariants_equal_the_unfolded_sum_of_every_term"
+D1_BOTH_WAYS = "tests/test_localcurve.py::test_degree_one_agrees_both_ways"
+D1_DOUBLES = "tests/test_localcurve.py::test_full_obstruction_doubles_the_half_d1"
+CRITERION_1 = "tests/test_acceptance.py::test_criterion_1_degree_one_closed_form"
+GENUS_ZERO = "tests/test_series.py::test_genus_zero_round_trips"
+GENUS_ONE = "tests/test_series.py::test_genus_one_round_trips"
+CRITERION_8 = "tests/test_acceptance.py::test_criterion_8_gv_inversion_round_trips"
+GVINVERT = "tests/test_cli.py::test_series_gvinvert_pinned_inversion"
+GCD_PINNED = "tests/test_ratfun.py::test_gcd_pinned_examples"
+GCD_DIVIDES = "tests/test_ratfun.py::test_gcd_divides_both_with_coprime_quotients"
+GCD_SYMPY = "tests/test_ratfun.py::test_gcd_and_canonical_forms_match_sympy"
 
 # (module, function, line as it stands, mutated line, tests that must catch it)
 MUTATIONS = [
@@ -93,6 +103,22 @@ MUTATIONS = [
      "        if not _is_class(beta, len(beta)):\n", [OFF_SERIES, KEYS]),
     ("series", "ClassLattice._position", "        return self._positions.get(beta)\n",
      "        return self._positions[beta]\n", [OFF_SERIES, OFF_LATTICE, KEYS]),
+    ("series", "_inverted",
+     "        value = Fraction(target.get(beta, 0)) - _cover_sum(beta, t, weight)\n",
+     "        value = Fraction(target.get(beta, 0))\n",
+     [GENUS_ZERO, GENUS_ONE, CRITERION_8, GVINVERT]),
+    ("series", "gv1_extract",
+     "    return _inverted({beta: Fraction(gw1.get(beta, 0)) - known.get(beta, 0)\n",
+     "    return _inverted({beta: Fraction(gw1.get(beta, 0)) + known.get(beta, 0)\n",
+     [GENUS_ONE, CRITERION_8]),
+    ("localcurve", "half_obstruction_d1",
+     "        ((tuple(int(j == i) for j in range(4)), -l - 1)\n",
+     "        ((tuple(int(j == i) for j in range(4)), -l)\n",
+     [D1_BOTH_WAYS, D1_DOUBLES, CRITERION_1]),
+    ("localcurve", "half_obstruction_d1",
+     "        (((j, 0, 0, 0), -1) for j in range(-point.b, point.a + 1) if j),\n",
+     "        (((j, 0, 0, 0), -1) for j in range(-point.b, point.a) if j),\n",
+     [D1_BOTH_WAYS, D1_DOUBLES, CRITERION_1]),
     ("localcurve", "_merged_term", "        num *= block_num\n",
      "        num *= block_den\n", [KERNELS]),
     ("localcurve", "_merged_term",
@@ -169,6 +195,11 @@ MUTATIONS = [
     ("ratfun", "_packing_bounds", "    bounds = [sum(n for f, n in need.items() if f[i])\n",
      "    bounds = [sum(n for f, n in need.items() if f[i] > 0)\n",
      [RANDOM_SUM, SWEEP_BOUNDS]),
+    ("ratfun", "poly_gcd", "    if pa.degree_in(var) and pb.degree_in(var):\n",
+     "    if pa.degree_in(var) and pb.degree_in(var) > 1:\n",
+     [GCD_PINNED, GCD_DIVIDES, GCD_SYMPY]),
+    ("ratfun", "poly_gcd", "    g = poly_gcd(conta, contb)\n", "    g = conta\n",
+     [GCD_PINNED, GCD_DIVIDES, GCD_SYMPY]),
     ("ratfun", "residue_at", "    if order >= 2:\n", "    if order >= 3:\n",
      [HIGHER_POLE, RESIDUE_REFERENCE]),
     ("ratfun", "residue_at", "    if order == 0:\n", "    if order <= 1:\n",

@@ -798,9 +798,10 @@ def test_series_missing_gv_file_exits_2(tmp_path):
 
 def test_no_command_reaches_the_generic_gcd(tmp_path, monkeypatch):
     """Every command gives the same exit code and output with
-    ratfun.poly_gcd and ratfun.residue_at made to raise: the sums, golden
-    files, checkpoints and the residue certificate are all reduced without
-    the generic gcd, and no command takes a residue of a RatFun."""
+    ratfun.poly_gcd, ratfun.residue_at, Poly.__pow__ and RatFun.__pow__
+    made to raise: the sums, golden files, checkpoints and the residue
+    certificate are all reduced without the generic gcd, and no command
+    takes a residue or a power of a Poly or a RatFun."""
     p2 = str(FIXTURES / "local_p2.json")
     golden = tmp_path / "g.txt"
     js = ["js", "--n", "6", "--d", "3"]
@@ -824,10 +825,10 @@ def test_no_command_reaches_the_generic_gcd(tmp_path, monkeypatch):
         return [run(argv) for argv in commands]
 
     def tripwire(*args, **kwargs):
-        raise AssertionError("the generic gcd or residue_at was reached")
+        raise AssertionError("the generic gcd, residue_at or a power was reached")
 
     expected = run_all()
     assert [code for code, _, _ in expected] == [0] * len(commands)
-    for name in ("poly_gcd", "residue_at"):
+    for name in ("poly_gcd", "residue_at", "Poly.__pow__", "RatFun.__pow__"):
         monkeypatch.setattr(f"stablepairs.ratfun.{name}", tripwire)
     assert run_all() == expected

@@ -296,6 +296,41 @@ def test_ratfun_pow_and_as_fraction():
         f.as_fraction()
 
 
+def test_poly_powers_are_repeated_products():
+    """Poly ** e for e = 0..5 is the product of e copies of the base, in
+    arity 1-4, zero and constant bases included; e < 0 raises ValueError."""
+    rng = random.Random(30)
+    for arity in range(1, 5):
+        bases = [Poly.zero(arity), Poly.one(arity), Poly.constant(Fraction(-2, 3), arity)]
+        bases += [random_small_poly(rng, arity, max_terms=3) for _ in range(8)]
+        for base in bases:
+            product = Poly.one(arity)
+            for e in range(6):
+                assert base**e == product
+                product = product * base
+            with pytest.raises(ValueError):
+                base**-1
+
+
+def test_ratfun_powers_are_repeated_products():
+    """RatFun ** e for e = -3..3 is the product of |e| copies of the base or
+    of its reciprocal; a zero base raises ZeroDivisionError for e < 0."""
+    rng = random.Random(31)
+    bases = [RatFun.zero(), RatFun.constant(Fraction(-3, 2)), RatFun(L0 + L3, L3)]
+    bases += [random_ratfun(rng) for _ in range(30)]
+    for f in bases:
+        for e in range(-3, 4):
+            if e < 0 and f.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    f**e
+                continue
+            factor = f if e >= 0 else RatFun.one() / f
+            product = RatFun.one()
+            for _ in range(abs(e)):
+                product = product * factor
+            assert f**e == product
+
+
 # -- specialization -------------------------------------------------------------------
 
 
